@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--n-list", default="10,20,40")
     ap.add_argument("--samples", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     params = ModelParams(args.k, args.lam)
@@ -29,9 +28,9 @@ def main():
     points = []
     for n in n_list:
         star = crt_expected(params, n, n_samples=args.samples, seed=args.seed,
-                            which="star", n_threads=args.threads)
+                            which="star")
         zero = crt_expected(params, n, n_samples=args.samples, seed=args.seed,
-                            which="zero", n_threads=args.threads)
+                            which="zero")
         points.append((n, star.log_mean))
         print(f"{n:>4} {star.log_mean:>14.4f} {star.log_mean / n:>10.4f} "
               f"{zero.log_mean:>14.4f}")

@@ -63,9 +63,6 @@ def _write_lines(path: str, lines) -> None:
 # ---------------------------------------------------------------------------
 # config file handling
 
-_CONFIG_KEYS = {}  # dest -> set of subcommands using it; filled by _build_parser
-
-
 def _load_config(path: str) -> dict:
     """Parse a key=value file into a string-valued mapping.
 
@@ -98,12 +95,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sub.add_argument("--out", default=None, help="output CSV path")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap for parallel sections")
+                     help="accepted for compatibility (>= 1); has no effect, "
+                          "every command runs serially")
     sub.add_argument("--config", default=None,
                      help="key=value file of defaults; flags override")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="tensorland",
         description="Spiked-tensor landscape complexity toolkit",
@@ -171,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hist-bins", type=int, default=20)
     s.set_defaults(func=cmd_simulate)
 
-    return parser
+    return parser, subs.choices
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +268,22 @@ def cmd_oracle(args) -> None:
     print(f"growth rate: {_fmt(rate)}")
 
 
-def _simulate_one(args, seed: int):
-    """One optimization run; returns the CSV row fields."""
+def _draw_tensor(args, seed: int):
+    """The spike u and tensor of one seed, and the generator that drew u."""
     rng = np.random.default_rng(seed)
-    n, k, lam = args.n, args.k, args.lam
-    u = rng.standard_normal(n)
+    u = rng.standard_normal(args.n)
     u /= np.linalg.norm(u)
     if args.noiseless:
-        tensor = noiseless_tensor(n, k, lam, u)
+        tensor = noiseless_tensor(args.n, args.k, args.lam, u)
     else:
-        tensor = make_spiked_tensor(n, k, lam, u, seed=seed)
+        tensor = make_spiked_tensor(args.n, args.k, args.lam, u, seed=seed)
+    return rng, u, tensor
+
+
+def _simulate_one(args, seed: int):
+    """One optimization run; returns the CSV row fields."""
+    rng, u, tensor = _draw_tensor(args, seed)
+    n, k, lam = args.n, args.k, args.lam
     sigma0 = rng.standard_normal(n)
     sigma0 /= np.linalg.norm(sigma0)
     if args.method == "power":
@@ -303,20 +308,15 @@ def cmd_simulate(args) -> None:
         raise ValueError("--seeds must be >= 1")
     if args.hist_out is not None and args.method != "newton":
         raise ValueError("--hist-out requires --method newton")
+    if args.hist_bins < 1:
+        raise ValueError("--hist-bins must be >= 1")
     ModelParams(args.k, args.lam)  # validate k and lambda
     header = "seed,n,k,lambda,method,m_final,f_final,grad_norm,index,iters"
     lines = [header]
     maxima = []
     for seed in range(args.seed, args.seed + args.seeds):
         if args.method == "newton":
-            rng = np.random.default_rng(seed)
-            u = rng.standard_normal(args.n)
-            u /= np.linalg.norm(u)
-            if args.noiseless:
-                tensor = noiseless_tensor(args.n, args.k, args.lam, u)
-            else:
-                tensor = make_spiked_tensor(args.n, args.k, args.lam, u,
-                                            seed=seed)
+            _rng, _u, tensor = _draw_tensor(args, seed)
             records, _failures = find_critical_points(
                 tensor, n_starts=args.n_starts, seed=seed + 1)
             maxima.extend(r for r in records if r.index == 0)
@@ -353,14 +353,17 @@ def main(argv=None) -> int:
     pre.add_argument("--config", default=None)
     known, _rest = pre.parse_known_args(argv)
 
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         if known.config is not None:
             overrides = _load_config(known.config)
-            _apply_config(parser, argv, overrides)
+            if argv[0] in subparsers:
+                _apply_config(subparsers[argv[0]], argv[0], overrides)
         args = parser.parse_args(argv)
         if getattr(args, "out", None) is None and args.command != "thresholds":
             raise ValueError("--out is required (flag or config file)")
+        if args.threads < 1:
+            raise ValueError("--threads must be >= 1")
         args.func(args)
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
@@ -377,22 +380,12 @@ def main(argv=None) -> int:
     return 0
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv, overrides: dict) -> None:
-    """Install file-supplied values as subparser defaults.
+def _apply_config(sub: argparse.ArgumentParser, command: str, overrides: dict) -> None:
+    """Install file-supplied values as defaults of subcommand parser ``sub``.
 
     argparse applies --flag values after defaults, so explicit flags win.
     String defaults are passed through each option's type converter.
     """
-    if not argv:
-        return
-    command = argv[0]
-    subactions = [
-        a for a in parser._actions
-        if isinstance(a, argparse._SubParsersAction)
-    ]
-    if not subactions or command not in subactions[0].choices:
-        return
-    sub = subactions[0].choices[command]
     dests = {a.dest: a for a in sub._actions if a.dest != "help"}
     unknown = set(overrides) - set(dests) - {"config"}
     # accept the flag spelling 'lambda' for the 'lam' destination

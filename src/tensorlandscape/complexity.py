@@ -195,8 +195,24 @@ def t_of_x(params: ModelParams, x):
     return _maybe_scalar(math.sqrt(2.0 * k / (k - 1.0)) * xx)
 
 
-def _s_star_arrays(params: ModelParams, m, x) -> np.ndarray:
+def _s_star_without_phi(params: ModelParams, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The terms of ``s_star`` other than ``phi_star``, for |m| < 1.
+
+    Volume, signal and energy terms of the Kac-Rice integrand per unit n;
+    ``kacrice.crt_expected`` uses n times this as its finite-n weight.
+    """
     k, lam = params.k, params.lam
+    one_minus = 1.0 - m * m
+    return (
+        0.5 * (math.log(k - 1.0) + 1.0)
+        + 0.5 * np.log(one_minus)
+        - k * lam * lam * m ** (2 * k - 2) * one_minus
+        - (x - lam * m**k) ** 2
+    )
+
+
+def _s_star_arrays(params: ModelParams, m, x) -> np.ndarray:
+    k = params.k
     mm = _as_finite_array(m, "m")
     if np.any(np.abs(mm) > 1.0):
         raise ValueError("overlap m must satisfy |m| <= 1")
@@ -207,15 +223,7 @@ def _s_star_arrays(params: ModelParams, m, x) -> np.ndarray:
     # kills the count.  Return -inf there without touching the log.
     edge = np.abs(mm) >= 1.0
     m_safe = np.where(edge, 0.0, mm)
-    one_minus = 1.0 - m_safe * m_safe
-    mk = m_safe**k
-    val = (
-        0.5 * (math.log(k - 1.0) + 1.0)
-        + 0.5 * np.log(one_minus)
-        - k * lam * lam * m_safe ** (2 * k - 2) * one_minus
-        - (xx - lam * mk) ** 2
-        + phi_star(math.sqrt(2.0 * k / (k - 1.0)) * xx)
-    )
+    val = _s_star_without_phi(params, m_safe, xx) + phi_star(math.sqrt(2.0 * k / (k - 1.0)) * xx)
     return np.where(edge, -np.inf, val)
 
 

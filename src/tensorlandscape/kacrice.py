@@ -15,13 +15,17 @@ spanning hundreds of orders of magnitude do not overflow.
 
 Design notes:
 
-* every Monte Carlo sample owns a seed spawned from the caller's seed, so the
-  sample budget can be partitioned across threads with a deterministic merge:
-  results are bit-identical for any thread count.
+* every Monte Carlo sample owns a seed spawned from the caller's seed, and
+  samples run one after another in a plain loop.  A two-thread pool over
+  samples measured slower in total than this loop on the benchmark's oracle
+  estimates, so ``n_threads`` is only validated (>= 1) and has no effect.
 * one GOE draw is shared across all grid cells (common random numbers): the
   cell coordinates enter only through the rank-one strength theta_n(m), which
-  requires one eigendecomposition per distinct theta, and the scalar shift
-  t_n(x), which is free once the eigenvalues are known.
+  requires one eigendecomposition per distinct theta (``_deformed_spectra``),
+  and the scalar shift t_n(x), which is free once the eigenvalues are known.
+  theta_n and t_n are ``theta_of_m`` and ``t_of_x`` scaled by sqrt(n/(n-1)),
+  and the exponential weight is n times the terms of ``s_star`` other than
+  ``phi_star``: every formula comes from :mod:`tensorlandscape.complexity`.
 * restricting to local maxima multiplies the integrand by 1{H <= 0}, i.e.
   1{max eig <= t_n(x)}; the restricted estimate is sample-by-sample at most
   the unrestricted one.
@@ -30,14 +34,13 @@ Design notes:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .complexity import MatrixCoords, ModelParams
+from .complexity import MatrixCoords, ModelParams, _s_star_without_phi, t_of_x, theta_of_m
 
 __all__ = [
     "GOEMatrix",
@@ -93,18 +96,33 @@ def sample_goe(n: int, seed: int) -> GOEMatrix:
     return GOEMatrix(n=n, entries=_goe_entries(rng, n))
 
 
-def _run_indexed(task, n_items: int, n_threads: int) -> None:
-    """Run task(i) for i in range(n_items), optionally on a thread pool.
+def _deformed_spectra(seed: np.random.SeedSequence, dim: int, thetas: np.ndarray) -> np.ndarray:
+    """Eigenvalues of theta e1 e1^T + W for one GOE(dim) draw W and each theta.
 
-    Tasks write to caller-owned arrays at their own index, so scheduling
-    cannot change the result.
+    Returns shape (len(thetas), dim), each row ascending.  Each theta deforms
+    a fresh copy of the draw: adding theta to w[0, 0] and subtracting it
+    again would not restore the entry's bits.
     """
-    if n_threads <= 1:
-        for i in range(n_items):
-            task(i)
-        return
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(task, range(n_items)))
+    w = _goe_entries(np.random.default_rng(seed), dim)
+    eig = np.empty((len(thetas), dim))
+    for i, theta in enumerate(thetas):
+        deformed = w.copy()
+        deformed[0, 0] += theta
+        eig[i] = np.linalg.eigvalsh(deformed)
+    return eig
+
+
+def _log_abs_det(eig: np.ndarray, t: np.ndarray, restrict_negative: bool) -> np.ndarray:
+    """log|det(H - t I)| for spectra ``eig`` (rows) and shifts ``t`` (columns).
+
+    With ``restrict_negative`` the entry is -inf wherever the shifted matrix
+    has an eigenvalue above 0, i.e. is not a local-maximum Hessian.
+    """
+    with np.errstate(divide="ignore"):
+        log_det = np.array([np.sum(np.log(np.abs(row[:, None] - t)), axis=0) for row in eig])
+    if restrict_negative:
+        log_det = np.where(eig[:, -1:] <= t, log_det, -np.inf)
+    return log_det
 
 
 def expected_abs_det(
@@ -119,31 +137,20 @@ def expected_abs_det(
 
     ``restrict_negative`` inserts the indicator that the matrix is negative
     semidefinite (its largest eigenvalue at most 0), the local-maximum
-    condition.  Identical seeds give bit-identical estimates for any
-    ``n_threads``.
+    condition.  ``n_threads`` must be >= 1 and has no effect: samples run
+    serially, so identical seeds give bit-identical estimates.
     """
     if n < 2:
         raise ValueError("n must be >= 2 (the matrix has dimension n - 1)")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dim = n - 1
-    theta, t = float(coords.theta), float(coords.t)
-    seeds = np.random.SeedSequence(seed).spawn(n_samples)
+    if n_threads < 1:
+        raise ValueError("n_threads must be >= 1")
+    thetas, t = np.array([float(coords.theta)]), np.array([float(coords.t)])
     values = np.empty(n_samples)
-
-    def one_sample(i: int) -> None:
-        rng = np.random.default_rng(seeds[i])
-        x = _goe_entries(rng, dim)
-        x[0, 0] += theta
-        eig = np.linalg.eigvalsh(x)
-        if restrict_negative and eig[-1] > t:
-            values[i] = 0.0
-            return
-        with np.errstate(divide="ignore"):
-            logdet = np.sum(np.log(np.abs(eig - t)))
-        values[i] = float(np.exp(logdet))
-
-    _run_indexed(one_sample, n_samples, n_threads)
+    for i, s in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+        log_det = _log_abs_det(_deformed_spectra(s, n - 1, thetas), t, restrict_negative)
+        values[i] = np.exp(log_det[0, 0])
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return McEstimate(mean=mean, std_error=se, n_samples=n_samples)
@@ -168,17 +175,6 @@ def log_count_prefactor(n: int, k: int) -> float:
     )
 
 
-def _theta_n(params: ModelParams, n: int, m: np.ndarray) -> np.ndarray:
-    k, lam = params.k, params.lam
-    scale = math.sqrt(2.0 * k * (k - 1.0) * n / (n - 1.0))
-    return scale * lam * m ** (k - 2) * (1.0 - m * m)
-
-
-def _t_n(params: ModelParams, n: int, x: np.ndarray) -> np.ndarray:
-    k = params.k
-    return math.sqrt(2.0 * k * n / ((k - 1.0) * (n - 1.0))) * x
-
-
 def crt_expected(
     params: ModelParams,
     n: int,
@@ -200,7 +196,8 @@ def crt_expected(
     ``m_interval`` is clipped to [-m_clip, m_clip]: the closed integrand has
     an integrable (1-m^2)^(-3/2) factor whose endpoint cells a midpoint rule
     cannot represent, and the clipped sliver carries no count mass at the
-    scales of interest.
+    scales of interest.  ``n_threads`` must be >= 1 and has no effect: samples
+    run serially, so identical seeds give bit-identical estimates.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -210,6 +207,8 @@ def crt_expected(
         raise ValueError("n_samples must be >= 2")
     if not 0.0 < m_clip < 1.0:
         raise ValueError("m_clip must lie in (0, 1)")
+    if n_threads < 1:
+        raise ValueError("n_threads must be >= 1")
     m_lo = max(float(m_interval[0]), -m_clip)
     m_hi = min(float(m_interval[1]), m_clip)
     x_lo, x_hi = float(x_interval[0]), float(x_interval[1])
@@ -218,55 +217,28 @@ def crt_expected(
     if not x_lo < x_hi:
         raise ValueError("x_interval is empty")
 
-    k, lam = params.k, params.lam
-    dim = n - 1
     dm = (m_hi - m_lo) / m_steps
     dx = (x_hi - x_lo) / x_steps
     m = m_lo + (np.arange(m_steps) + 0.5) * dm
     x = x_lo + (np.arange(x_steps) + 0.5) * dx
 
-    theta = _theta_n(params, n, m)
-    t = _t_n(params, n, x)
+    finite_n = math.sqrt(n / (n - 1.0))
+    theta = finite_n * theta_of_m(params, m)
+    t = finite_n * t_of_x(params, x)
     # one eigendecomposition per distinct rank-one strength (lam = 0 has one)
     theta_unique, theta_inverse = np.unique(theta, return_inverse=True)
-
-    one_minus = 1.0 - m * m
     log_weight = (
-        n
-        * (
-            0.5 * (math.log(k - 1.0) + 1.0)
-            + 0.5 * np.log(one_minus)
-            - k * lam * lam * m ** (2 * k - 2) * one_minus
-        )[:, None]
-        - n * (x[None, :] - lam * m[:, None] ** k) ** 2
-        - 1.5 * np.log(one_minus)[:, None]
+        n * _s_star_without_phi(params, m[:, None], x[None, :])
+        - 1.5 * np.log(1.0 - m * m)[:, None]
         + math.log(dm * dx)
     )  # (m_steps, x_steps)
 
-    seeds = np.random.SeedSequence(seed).spawn(n_samples)
-    log_totals = np.empty(n_samples)
     restrict = which == "zero"
-
-    def one_sample(s: int) -> None:
-        rng = np.random.default_rng(seeds[s])
-        w = _goe_entries(rng, dim)
-        log_det_u = np.empty((len(theta_unique), x_steps))
-        top_u = np.empty(len(theta_unique))
-        for ui, th in enumerate(theta_unique):
-            deformed = w.copy()
-            deformed[0, 0] += th
-            eig = np.linalg.eigvalsh(deformed)
-            top_u[ui] = eig[-1]
-            with np.errstate(divide="ignore"):
-                log_det_u[ui] = np.sum(np.log(np.abs(eig[:, None] - t[None, :])), axis=0)
-        cells = log_det_u[theta_inverse] + log_weight
-        if restrict:
-            allowed = top_u[theta_inverse][:, None] <= t[None, :]
-            cells = np.where(allowed, cells, -np.inf)
-        log_totals[s] = logsumexp(cells)
-
-    _run_indexed(one_sample, n_samples, n_threads)
-    log_totals += log_count_prefactor(n, k)
+    log_totals = np.empty(n_samples)
+    for i, s in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+        log_det = _log_abs_det(_deformed_spectra(s, n - 1, theta_unique), t, restrict)
+        log_totals[i] = logsumexp(log_det[theta_inverse] + log_weight)
+    log_totals += log_count_prefactor(n, params.k)
 
     top = float(np.max(log_totals))
     if top == -math.inf:

@@ -221,6 +221,14 @@ class TestSimulate:
         assert code == 2
         assert not out.exists() and not hist.exists()
 
+    def test_histogram_bins_checked_before_search(self, tmp_path):
+        out = tmp_path / "s.csv"
+        hist = tmp_path / "h.csv"
+        code = run(["simulate", "--method", "newton", "--n", 4, "--n-starts", 10,
+                    "--hist-bins", 0, "--hist-out", hist, "--out", out])
+        assert code == 2
+        assert not out.exists() and not hist.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--method", "power", "--lambda", 1.2, "--n", 9,
                 "--seeds", 2]
@@ -236,6 +244,15 @@ class TestExitCodes:
         assert run(["grid", "--k", 2, "--out", out]) == 2
         assert run(["simulate", "--seeds", 0, "--out", out]) == 2
         assert run(["grid"]) == 2  # --out missing
+
+    def test_thread_count_below_one(self, tmp_path):
+        # rejected before the command runs, so no thread is ever started
+        out = tmp_path / "x.csv"
+        for command in ("grid", "projection", "thresholds", "oracle", "simulate"):
+            for threads in (0, -4):
+                assert run([command, "--threads", threads, "--out", out]) == 2
+        assert run(["thresholds", "--threads", 0]) == 2
+        assert not out.exists()
 
     def test_io_errors(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

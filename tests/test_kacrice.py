@@ -19,7 +19,7 @@ from tensorlandscape import (
     log_count_prefactor,
     sample_goe,
 )
-from tensorlandscape.complexity import MatrixCoords
+from tensorlandscape.complexity import MatrixCoords, phi_star, s_star, t_of_x, theta_of_m
 from tensorlandscape.simulate import find_critical_points, make_spiked_tensor
 
 
@@ -167,6 +167,12 @@ class TestExpectedAbsDet:
         with pytest.raises(ValueError):
             expected_abs_det(4, coords, n_samples=0)
 
+    def test_rejects_nonpositive_thread_count(self):
+        coords = MatrixCoords(theta=0.0, t=0.0)
+        for threads in (0, -4):
+            with pytest.raises(ValueError):
+                expected_abs_det(4, coords, n_samples=2, n_threads=threads)
+
 
 class TestLogCountPrefactor:
     def test_exponentially_trivial(self):
@@ -268,6 +274,41 @@ class TestCrtExpected:
             crt_expected(params, 5, x_interval=(1.0, 1.0))
         with pytest.raises(ValueError):
             crt_expected(params, 5, m_clip=1.0)
+
+    def test_rejects_nonpositive_thread_count(self):
+        params = ModelParams(3, 1.0)
+        for threads in (0, -4):
+            with pytest.raises(ValueError):
+                crt_expected(params, 5, m_steps=2, x_steps=2, n_samples=2,
+                             n_threads=threads)
+
+
+class TestEstimatorAgreement:
+    """On one grid cell, crt_expected is the closed-form weight times the
+    prefactor times expected_abs_det at the finite-n matrix coordinates,
+    sample for sample: both estimators draw from the same spawned seeds."""
+
+    @pytest.mark.parametrize("which", ["star", "zero"])
+    @pytest.mark.parametrize("k,lam,n", [(3, 1.5, 6), (4, 0.8, 9)])
+    def test_one_cell_grid(self, which, k, lam, n):
+        params = ModelParams(k, lam)
+        (m_lo, m_hi), (x_lo, x_hi) = (0.3, 0.5), (1.0, 1.4)
+        samples, seed = 300, 11
+        est = crt_expected(params, n, m_interval=(m_lo, m_hi), x_interval=(x_lo, x_hi),
+                           m_steps=1, x_steps=1, n_samples=samples, seed=seed, which=which)
+
+        dm, dx = m_hi - m_lo, x_hi - x_lo
+        m, x = m_lo + 0.5 * dm, x_lo + 0.5 * dx
+        weight = (n * (s_star(params, m, x) - phi_star(t_of_x(params, x)))
+                  - 1.5 * math.log(1.0 - m * m) + math.log(dm * dx))
+        finite_n = math.sqrt(n / (n - 1.0))
+        coords = MatrixCoords(theta=finite_n * theta_of_m(params, m),
+                              t=finite_n * t_of_x(params, x))
+        det = expected_abs_det(n, coords, n_samples=samples, seed=seed,
+                               restrict_negative=which == "zero")
+        assert det.mean > 0.0
+        expected = log_count_prefactor(n, k) + weight + math.log(det.mean)
+        assert est.log_mean == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 class TestGrowthRateFit:
