@@ -40,16 +40,13 @@ def main():
               f" touch {fmt(zero_band.m_star)}")
         print(f"  star band       = ({fmt(star_band.m1)}, {fmt(star_band.m2)})")
         ms = np.linspace(-0.99, 0.99, args.points)
-        rows = []
-        for m in ms:
-            star = project_max_over_x(params, float(m), which="star").value
-            zero = project_max_over_x(params, float(m), which="zero").value
-            rows.append((m, star, zero))
+        star = project_max_over_x(params, ms, which="star").value
+        zero = project_max_over_x(params, ms, which="zero").value
         path = os.path.join(args.outdir, f"curves_k{args.k}_lam{lam}.csv")
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write("m,s_star_of_m,s_zero_of_m\n")
-            for m, star, zero in rows:
-                fh.write(f"{m:.17g},{star:.17g},{zero:.17g}\n")
+            for row in zip(ms, star, zero):
+                fh.write("%.17g,%.17g,%.17g\n" % row)
         print(f"  wrote {path}")
 
 

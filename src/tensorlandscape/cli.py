@@ -198,22 +198,21 @@ def cmd_projection(args) -> None:
         lo = -0.99 if args.lo is None else args.lo
         hi = 0.99 if args.hi is None else args.hi
         header = "m,s_star_of_m,s_zero_of_m"
-        project = lambda v, which: project_max_over_x(params, v, which)
+        project = project_max_over_x
     else:
         lo = -3.0 if args.lo is None else args.lo
         hi = 3.0 if args.hi is None else args.hi
         header = "x,s_star_of_x,s_zero_of_x"
-        project = lambda v, which: project_max_over_m(params, v, which)
+        project = project_max_over_m
     if not lo < hi:
         raise ValueError("projection range must satisfy lo < hi")
     if args.points < 2:
         raise ValueError("projection needs at least 2 points")
     axis = np.linspace(lo, hi, args.points)
+    star = project(params, axis, "star").value
+    zero = project(params, axis, "zero").value
     lines = [header]
-    for v in axis:
-        star = project(v, "star").value
-        zero = project(v, "zero").value
-        lines.append(",".join((_fmt(v), _fmt(star), _fmt(zero))))
+    lines.extend(",".join(map(_fmt, row)) for row in zip(axis, star, zero))
     _write_lines(args.out, lines)
 
 

@@ -119,12 +119,18 @@ def phi_star(x):
     Equals x^2/4 - 1/2 inside the support (|x| <= 2); outside, the extra
     terms -(|x|/4) sqrt(x^2-4) + log((|x| + sqrt(x^2-4))/2) keep the function
     continuous at the edges.  Even in x.
+
+    Outside, x^2/4 - (|x|/4) sqrt(x^2-4) is evaluated as
+    |x| / (|x| + sqrt(x^2-4)), which does not cancel at large |x|.
     """
     ax = np.abs(_as_finite_array(x, "x"))
     s = np.sqrt(np.maximum(ax * ax - 4.0, 0.0))
     inside = 0.25 * ax * ax - 0.5
+    # the outside branch is also evaluated inside the support; the floor of
+    # its denominator (never binding outside, where ax + s > 2) avoids 0/0
+    # at x = 0
     with np.errstate(divide="ignore"):
-        outside = inside - 0.25 * ax * s + np.log(0.5 * (ax + s))
+        outside = ax / np.maximum(ax + s, 2.0) - 0.5 + np.log(0.5 * (ax + s))
     return _maybe_scalar(np.where(ax <= 2.0, inside, outside))
 
 
@@ -185,7 +191,8 @@ def theta_of_m(params: ModelParams, m):
     mm = _as_finite_array(m, "m")
     if np.any(np.abs(mm) > 1.0):
         raise ValueError("overlap m must satisfy |m| <= 1")
-    return _maybe_scalar(math.sqrt(2.0 * k * (k - 1.0)) * lam * mm ** (k - 2) * (1.0 - mm * mm))
+    one_minus = (1.0 - mm) * (1.0 + mm)
+    return _maybe_scalar(math.sqrt(2.0 * k * (k - 1.0)) * lam * mm ** (k - 2) * one_minus)
 
 
 def t_of_x(params: ModelParams, x):
@@ -202,12 +209,16 @@ def _s_star_without_phi(params: ModelParams, m: np.ndarray, x: np.ndarray) -> np
     ``kacrice.crt_expected`` uses n times this as its finite-n weight.
     """
     k, lam = params.k, params.lam
-    one_minus = 1.0 - m * m
+    # (1 - m)(1 + m) keeps full relative precision as |m| -> 1, where 1 - m*m
+    # loses the digits rounded off m*m
+    one_minus = (1.0 - m) * (1.0 + m)
     return (
         0.5 * (math.log(k - 1.0) + 1.0)
         + 0.5 * np.log(one_minus)
         - k * lam * lam * m ** (2 * k - 2) * one_minus
-        - (x - lam * m**k) ** 2
+        # np.square, not ** 2: on a 0-d input that would be a NumPy scalar
+        # power, which can differ in the last bit from the array path
+        - np.square(x - lam * m**k)
     )
 
 

@@ -7,8 +7,17 @@ polish), locate the overlap band where local maxima are exponentially
 numerous (sign-change bisection on the projection), and rasterize the
 nonnegativity region of either complexity over a rectangular grid.
 
-Grid evaluation is vectorized numpy and therefore deterministic and
-trivially data-parallel; no randomness enters this module.
+Projections take a scalar or a 1-D array of fixed coordinates and handle
+all of them in one batched pass: the coarse scan is one broadcast over
+(fixed coordinate, scan point) cells, at most ``_BLOCK_CELLS`` (65536) cells
+per block so that temporaries stay at a few MB, and the golden-section
+polish advances every bracket of a block together as arrays.  The result
+at each coordinate is bitwise the scalar call's.  ``band_endpoints``
+projects its outward scans in chunks, bisects both band edges together and
+polishes the touch point through the same batched projection.
+
+Evaluation is vectorized numpy and therefore deterministic; no randomness
+enters this module.
 """
 
 from __future__ import annotations
@@ -32,6 +41,13 @@ __all__ = [
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Most (row, coarse point) cells one projection evaluates in one broadcast;
+#: bounds the temporaries of a batched projection at a few MB.
+_BLOCK_CELLS = 1 << 16
+
+#: Points per side that one call of the band scan projects.
+_SCAN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -68,10 +84,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Argmax and value of a one-dimensional complexity maximization."""
+    """Argmax and value of a one-dimensional complexity maximization.
 
-    arg: float
-    value: float
+    Floats for a scalar fixed coordinate, arrays for an array of them.
+    """
+
+    arg: float | np.ndarray
+    value: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,63 +125,105 @@ def _complexity_fn(which: str):
     raise ValueError(f"which must be 'star' or 'zero', got {which!r}")
 
 
-def _golden_max(fn, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    # golden-section search for a maximum; tolerates -inf values (plain
-    # comparisons push the bracket toward the finite side).  Returns the best
-    # point actually evaluated: the maximizer may sit on a jump (e.g. the
-    # spectral cutoff below which the local-max complexity is -inf) and the
-    # bracket midpoint could land on its wrong side.
-    a, b = lo, hi
+def _golden_max(fn, a, b, xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maxima on the brackets [a[j], b[j]], advanced together.
+
+    ``fn(j, u)`` evaluates the function of bracket ``j`` at ``u`` (equal-shape
+    arrays).  A bracket narrower than ``xtol`` stops being evaluated while
+    the others continue.  -inf values are tolerated (plain comparisons push
+    the bracket toward the finite side).  Returns the best point actually
+    evaluated per bracket and its value: the maximizer may sit on a jump
+    (e.g. the spectral cutoff below which the local-max complexity is -inf)
+    and the bracket midpoint could land on its wrong side.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    j = np.arange(a.size)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
+    fc, fd = np.split(np.asarray(fn(np.tile(j, 2), np.concatenate([c, d])), dtype=float), 2)
+    left = fc >= fd
+    best_x, best_f = np.where(left, c, d), np.where(left, fc, fd)
+    live = np.flatnonzero(b - a > xtol)
+    while live.size:
+        left = fc[live] >= fd[live]
+        lw, rw = live[left], live[~left]
+        # left-moving brackets keep [a, d] and probe a new c; the others keep
+        # [c, b] and probe a new d
+        b[lw], d[lw], fd[lw] = d[lw], c[lw], fc[lw]
+        c[lw] = b[lw] - _INV_PHI * (b[lw] - a[lw])
+        a[rw], c[rw], fc[rw] = c[rw], d[rw], fd[rw]
+        d[rw] = a[rw] + _INV_PHI * (b[rw] - a[rw])
+        idx = np.concatenate([lw, rw])
+        u = np.concatenate([c[lw], d[rw]])
+        f = np.asarray(fn(idx, u), dtype=float)
+        fc[lw], fd[rw] = f[: lw.size], f[lw.size :]
+        better = f > best_f[idx]
+        best_x[idx[better]], best_f[idx[better]] = u[better], f[better]
+        live = live[b[live] - a[live] > xtol]
     return best_x, best_f
 
 
-def _scan_and_refine(fn, lo: float, hi: float, coarse: int, xtol: float) -> ProjectionResult:
-    xs = np.linspace(lo, hi, coarse)
-    vals = np.asarray(fn(xs), dtype=float)
-    finite = np.isfinite(vals)
-    if not np.any(finite):
-        return ProjectionResult(arg=math.nan, value=-math.inf)
+def _coarse_maxima(vals: np.ndarray) -> np.ndarray:
+    """Mask of the finite entries of each row that are >= both row neighbours.
 
-    # every coarse local maximum seeds a golden-section polish; this keeps
-    # multimodal projections (band + high-overlap bump) honest
-    seeds = []
-    for i in np.flatnonzero(finite):
-        left = vals[i - 1] if i > 0 else -np.inf
-        right = vals[i + 1] if i < coarse - 1 else -np.inf
-        if vals[i] >= left and vals[i] >= right:
-            seeds.append(i)
-    best_arg, best_val = math.nan, -math.inf
-    for i in seeds:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, coarse - 1)]
-        arg, val = _golden_max(lambda u: float(fn(u)), a, b, xtol)
-        if vals[i] > val:  # refinement must never lose to its own seed
-            arg, val = float(xs[i]), float(vals[i])
-        if val > best_val:
-            best_arg, best_val = arg, val
-    return ProjectionResult(arg=best_arg, value=best_val)
+    A missing neighbour (row ends) counts as -inf.
+    """
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=-np.inf)
+    return np.isfinite(vals) & (vals >= padded[:, :-2]) & (vals >= padded[:, 2:])
+
+
+def _project_rows(f, fixed, lo: float, hi: float, coarse: int, xtol: float) -> ProjectionResult:
+    """Maximize ``f(r, u)`` over u in [lo, hi] at each fixed coordinate r.
+
+    ``fixed`` is a scalar or a 1-D array; ``f`` broadcasts over arrays.
+    Each block of at most ``_BLOCK_CELLS`` (r, u) cells is scanned on
+    ``coarse`` points of [lo, hi]; every coarse local maximum seeds a
+    golden-section polish, which keeps multimodal projections (band +
+    high-overlap bump) honest, and all seeds of the block are polished
+    together.  Per r, the best evaluated point wins, a polish never loses to
+    its own seed, and among equal seeds the first wins; an all -inf row
+    gives (nan, -inf).
+    """
+    fixed = np.asarray(fixed, dtype=float)
+    if fixed.ndim > 1:
+        raise ValueError("the fixed coordinate must be a scalar or a 1-D array")
+    rows = fixed.reshape(-1)
+    us = np.linspace(lo, hi, coarse)
+    args = np.full(rows.shape, math.nan)
+    values = np.full(rows.shape, -math.inf)
+    per_block = max(1, _BLOCK_CELLS // coarse)
+    for start in range(0, rows.size, per_block):
+        r = rows[start : start + per_block]
+        vals = np.asarray(f(r[:, None], us[None, :]), dtype=float)
+        row, col = np.nonzero(_coarse_maxima(vals))
+        if not row.size:
+            continue
+        arg, val = _golden_max(
+            lambda j, u: f(r[row[j]], u),
+            us[np.maximum(col - 1, 0)],
+            us[np.minimum(col + 1, coarse - 1)],
+            xtol,
+        )
+        seed_val = vals[row, col]
+        lost = seed_val > val  # refinement must never lose to its own seed
+        arg[lost], val[lost] = us[col[lost]], seed_val[lost]
+        top = np.full(r.size, -math.inf)
+        np.maximum.at(top, row, val)
+        # seeds are in row-major order, so the first hit of a row's top value
+        # is its first best seed
+        win = np.flatnonzero(val == top[row])
+        hit_rows, first = np.unique(row[win], return_index=True)
+        args[start + hit_rows] = arg[win[first]]
+        values[start + hit_rows] = val[win[first]]
+    if fixed.ndim == 0:
+        return ProjectionResult(arg=float(args[0]), value=float(values[0]))
+    return ProjectionResult(arg=args, value=values)
 
 
 def project_max_over_x(
     params: ModelParams,
-    m: float,
+    m,
     which: str = "star",
     x_search: tuple[float, float] | None = None,
     coarse: int = 401,
@@ -170,12 +231,14 @@ def project_max_over_x(
 ) -> ProjectionResult:
     """Maximize the chosen complexity over the objective value x at fixed overlap m.
 
+    ``m`` is a scalar or a 1-D array; for an array, ``arg`` and ``value`` are
+    arrays with one entry per m, each equal to the scalar call at that m.
     The default search interval [-(lam+3), lam+3] always contains the
     maximizer: the optimal x drifts to lam as |m| -> 1 and stays O(1) at
-    m = 0.  Returns (nan, -inf) when the complexity is -inf on the whole
-    interval.
+    m = 0.  The value is -inf (and the arg nan) where the complexity is -inf
+    on the whole interval.
     """
-    if not abs(m) < 1.0:
+    if not np.all(np.abs(np.asarray(m, dtype=float)) < 1.0):
         raise ValueError("projection over x requires |m| < 1")
     fn = _complexity_fn(which)
     if x_search is None:
@@ -183,25 +246,28 @@ def project_max_over_x(
     lo, hi = map(float, x_search)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("x_search must be a finite interval (lo, hi) with lo < hi")
-    return _scan_and_refine(lambda x: fn(params, m, x), lo, hi, coarse, xtol)
+    return _project_rows(lambda m_, x_: fn(params, m_, x_), m, lo, hi, coarse, xtol)
 
 
 def project_max_over_m(
     params: ModelParams,
-    x: float,
+    x,
     which: str = "star",
     m_search: tuple[float, float] | None = None,
     coarse: int = 401,
     xtol: float = 1e-9,
 ) -> ProjectionResult:
-    """Maximize the chosen complexity over the overlap m at fixed objective value x."""
+    """Maximize the chosen complexity over the overlap m at fixed objective value x.
+
+    ``x`` is a scalar or a 1-D array, as for :func:`project_max_over_x`.
+    """
     fn = _complexity_fn(which)
     if m_search is None:
         m_search = (-1.0 + 1e-9, 1.0 - 1e-9)
     lo, hi = map(float, m_search)
     if not (-1.0 < lo < hi < 1.0):
         raise ValueError("m_search must satisfy -1 < lo < hi < 1")
-    return _scan_and_refine(lambda m: fn(params, m, x), lo, hi, coarse, xtol)
+    return _project_rows(lambda x_, m_: fn(params, m_, x_), x, lo, hi, coarse, xtol)
 
 
 def region_nonnegative(
@@ -219,28 +285,31 @@ def region_nonnegative(
     return np.asarray(vals >= -float(tol))
 
 
-def _bisect_crossing(fn, lo: float, hi: float, xtol: float = 1e-10, maxiter: int = 200) -> float:
-    f_lo = fn(lo)
-    f_hi = fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ValueError("bisection bracket does not straddle a sign change")
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        # the bracket may be passed in descending order (negative-m scans)
-        if abs(hi - lo) <= xtol:
-            return mid
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_crossings(fn, lo, hi, f_hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Bisect every bracket with fn(lo) > 0 >= fn(hi) to width ``xtol``, together.
+
+    ``fn`` maps an array of points to values.  Brackets may be descending
+    (negative-m scans).  A point where fn is exactly 0 is returned as is.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out = np.where(f_hi == 0.0, hi, math.nan)
+    live = np.flatnonzero(f_hi != 0.0)
+    for _ in range(200):
+        mid = 0.5 * (lo[live] + hi[live])
+        done = np.abs(hi[live] - lo[live]) <= xtol
+        out[live[done]] = mid[done]
+        live, mid = live[~done], mid[~done]
+        if not live.size:
+            return out
+        f_mid = np.asarray(fn(mid), dtype=float)
+        out[live[f_mid == 0.0]] = mid[f_mid == 0.0]
+        up = f_mid > 0.0
+        lo[live[up]] = mid[up]
+        down = ~up & (f_mid != 0.0)
+        hi[live[down]] = mid[down]
+        live = live[f_mid != 0.0]
+    out[live] = 0.5 * (lo[live] + hi[live])
+    return out
 
 
 def band_endpoints(
@@ -259,25 +328,32 @@ def band_endpoints(
     ``zero_tol`` of zero is reported as ``m_star`` (the signal-correlated
     touch point); absent below the critical SNR.
     """
-
-    def proj(m: float) -> float:
-        return project_max_over_x(params, m, which=which).value
+    def proj(ms: np.ndarray) -> np.ndarray:
+        return project_max_over_x(params, ms, which=which).value
 
     limit = 1.0 - 1e-7
+    ms = np.linspace(0.0, limit, scan_points)
 
-    def first_crossing(side: float) -> float | None:
-        ms = side * np.linspace(0.0, limit, scan_points)
-        if proj(0.0) <= 0.0:
-            return None
-        prev_m = 0.0
-        for m in ms[1:]:
-            if proj(float(m)) <= 0.0:
-                return _bisect_crossing(proj, float(prev_m), float(m), xtol=xtol)
-            prev_m = float(m)
-        return None
-
-    m2 = first_crossing(+1.0)
-    m1 = first_crossing(-1.0)
+    # both outward scans advance together, _SCAN_CHUNK points per side per
+    # call; a side stops at its first chunk holding a nonpositive value
+    crossings = {}  # side -> (last positive m, first nonpositive m, its value)
+    open_sides = [] if proj(np.zeros(1))[0] <= 0.0 else [1.0, -1.0]
+    for start in range(1, scan_points, _SCAN_CHUNK):
+        if not open_sides:
+            break
+        block = ms[start : start + _SCAN_CHUNK]
+        vals = proj(np.concatenate([side * block for side in open_sides]))
+        for side, v in zip(list(open_sides), np.split(vals, len(open_sides))):
+            hit = np.flatnonzero(v <= 0.0)
+            if hit.size:
+                i = start + hit[0]
+                crossings[side] = (side * ms[i - 1], side * ms[i], v[hit[0]])
+                open_sides.remove(side)
+    roots = {}
+    if crossings:
+        lo, hi, f_hi = map(np.array, zip(*crossings.values()))
+        roots = dict(zip(crossings, _bisect_crossings(proj, lo, hi, f_hi, xtol).tolist()))
+    m2, m1 = roots.get(1.0), roots.get(-1.0)
 
     # high-overlap touch point: an interior local max of the projection to
     # the right of the band whose height is ~0.  The bump narrows sharply as
@@ -294,15 +370,13 @@ def band_endpoints(
                 ]
             )
         )
-        vals = np.array([proj(float(m)) for m in ms])
-        finite = np.isfinite(vals)
-        best = None
-        for i in range(1, len(ms) - 1):
-            if finite[i] and vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-                if best is None or vals[i] > vals[best]:
-                    best = i
-        if best is not None:
-            arg, val = _golden_max(proj, float(ms[best - 1]), float(ms[best + 1]), 1e-10)
-            if val >= -zero_tol:
-                m_star = arg
+        vals = proj(ms)
+        interior = _coarse_maxima(vals[None, :])[0]
+        interior[[0, -1]] = False
+        cand = np.flatnonzero(interior)
+        if cand.size:
+            best = cand[np.argmax(vals[cand])]  # first of equal maxima
+            arg, val = _golden_max(lambda _, u: proj(u), ms[[best - 1]], ms[[best + 1]], 1e-10)
+            if val[0] >= -zero_tol:
+                m_star = float(arg[0])
     return BandReport(m1=m1, m2=m2, m_star=m_star)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from tensorlandscape import (
@@ -296,3 +297,128 @@ class TestBbpEdge:
     def test_domain(self):
         with pytest.raises(ValueError):
             bbp_edge(0.0)
+
+
+class TestHighPrecisionDifferential:
+    """Closed forms against 40-digit mpmath references over a wide range.
+
+    Each reference is built term by term, the ldp integral by mpmath
+    quadrature.  Errors are measured against the size of what the double
+    formula adds up, which is where its rounding enters: the value itself
+    for phi_star, and the sum of the terms' magnitudes for the surfaces.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        saved = mpmath.mp.dps
+        mpmath.mp.dps = 40
+        self.mp = mpmath
+        yield
+        mpmath.mp.dps = saved
+
+    def ref_phi(self, y):
+        mp = self.mp
+        y = abs(mp.mpf(y))
+        if y <= 2:
+            return y * y / 4 - mp.mpf(1) / 2
+        s = mp.sqrt(y * y - 4)
+        return y * y / 4 - mp.mpf(1) / 2 - y * s / 4 + mp.log((y + s) / 2)
+
+    def ref_ldp(self, theta, t):
+        """(value, scale): rho^2 is the size of the terms the closed form cancels."""
+        mp = self.mp
+        theta, t = mp.mpf(theta), mp.mpf(t)
+        if t < 2:
+            return mp.inf, 0
+        if theta <= 1 or t >= theta + 1 / theta:
+            return mp.mpf(0), 0
+        rho = theta + 1 / theta
+        integral = mp.quad(lambda y: mp.sqrt(y * y - 4), [rho, t]) / 4
+        return integral - theta * (t - rho) / 2 + (t * t - rho * rho) / 8, rho * rho
+
+    def ref_surfaces(self, k, lam, m, x):
+        """(s_star, s_zero, scale) at (m, x)."""
+        mp = self.mp
+        m, x = mp.mpf(m), mp.mpf(x)
+        one_minus = 1 - m * m
+        terms = [
+            (mp.log(k - 1) + 1) / 2,
+            mp.log(one_minus) / 2,
+            -k * lam**2 * m ** (2 * k - 2) * one_minus,
+            -((x - lam * m**k) ** 2),
+            self.ref_phi(mp.sqrt(mp.mpf(2 * k) / (k - 1)) * x),
+        ]
+        star = sum(terms)
+        theta = mp.sqrt(2 * k * (k - 1)) * lam * m ** (k - 2) * one_minus
+        cost, cost_scale = self.ref_ldp(theta, mp.sqrt(mp.mpf(2 * k) / (k - 1)) * x)
+        return star, star - cost, sum(abs(t) for t in terms) + cost_scale
+
+    @pytest.mark.parametrize("x", [0.0, 1.5, 2.0, 2.0 + 1e-12, 2.5, 10.0, 1e3, 1e5, -1e5])
+    def test_phi_star(self, x):
+        ref = self.ref_phi(x)
+        assert abs(phi_star(x) - ref) <= 1e-15 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 1.0 + 1e-9, 1.1, 2.0, 30.0, 1e3])
+    def test_ldp_rate(self, theta):
+        rho = theta + 1.0 / theta
+        for t in (1.5, 2.0, 2.0 + 1e-9, 2.5, 0.5 * (2.0 + rho), rho * (1.0 - 1e-6),
+                  rho * (1.0 - 1e-12), rho, rho + 1.0, 1e5):
+            ref, scale = self.ref_ldp(theta, t)
+            got = ldp_rate(theta, t)
+            if ref == self.mp.inf:
+                assert got == np.inf
+            else:
+                assert abs(got - ref) <= 1e-14 * (1 + scale), (theta, t)
+
+    @pytest.mark.parametrize("k, lam", [(3, 0.0), (3, 3.0), (4, 1.7), (3, 32.0), (5, 0.9)])
+    def test_surfaces(self, k, lam):
+        params = ModelParams(k, lam)
+        near_one = [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]
+        for m in [0.0, 0.3, -0.7, 0.99] + near_one + [-v for v in near_one]:
+            for x in (-1e5, -3.0, 0.0, 1.0, 1.2, 2.0, 3.0, 10.0, 1e5):
+                star, zero, scale = self.ref_surfaces(k, lam, m, x)
+                tol = 1e-14 * (1 + scale)
+                assert abs(s_star(params, m, x) - star) <= tol, (m, x)
+                got = s_zero(params, m, x)
+                if zero == -self.mp.inf:
+                    assert got == -np.inf, (m, x)
+                else:
+                    assert abs(got - zero) <= tol, (m, x)
+
+
+@pytest.mark.parametrize("k, lam", [(3, 3.0), (4, 1.7)])
+def test_array_equals_scalar_calls_on_random_points(k, lam):
+    # a squared energy term taken by pow() on scalars but by multiplication
+    # on arrays used to differ in the last bit at about one point in 1000
+    params = ModelParams(k, lam)
+    rng = np.random.default_rng(7)
+    m, x = rng.uniform(-1.0, 1.0, 2000), rng.uniform(-5.0, 5.0, 2000)
+    for fn in (s_star, s_zero):
+        np.testing.assert_array_equal(fn(params, m, x),
+                                      [fn(params, a, b) for a, b in zip(m, x)])
+
+
+_overlaps = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)
+_values = st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(3, 6), lam=st.floats(0.0, 40.0), ms=_overlaps, xs=_values)
+def test_broadcast_equals_scalar_calls(k, lam, ms, xs):
+    # bitwise: projections compare values computed on arrays of any shape
+    params = ModelParams(k, lam)
+    m, x = np.array(ms)[:, None], np.array(xs)[None, :]
+    for fn in (s_star, s_zero):
+        grid = fn(params, m, x)
+        assert grid.shape == (len(ms), len(xs))
+        for i, mi in enumerate(ms):
+            for j, xj in enumerate(xs):
+                assert grid[i, j] == fn(params, mi, xj)
+    np.testing.assert_array_equal(phi_star(np.array(xs)), [phi_star(v) for v in xs])
+    np.testing.assert_array_equal(theta_of_m(params, np.array(ms)),
+                                  [theta_of_m(params, v) for v in ms])
+    thetas = np.abs(np.array(xs)) / 1e4
+    ts = np.sqrt(2.0 * k / (k - 1.0)) * np.array(xs) / 10.0
+    np.testing.assert_array_equal(ldp_rate(thetas[:, None], ts[None, :]),
+                                  [[ldp_rate(a, b) for b in ts] for a in thetas])

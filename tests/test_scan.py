@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorlandscape import (
     GridSpec,
@@ -86,8 +87,31 @@ class TestProjectOverX:
         with pytest.raises(ValueError):
             project_max_over_x(ModelParams(3, 1.0), 0.0, "both")
 
+    def test_scalar_and_array_results(self):
+        params = ModelParams(3, 2.0)
+        res = project_max_over_x(params, 0.2, "zero")
+        assert isinstance(res.arg, float) and isinstance(res.value, float)
+        arr = project_max_over_x(params, np.array([0.2]), "zero")
+        assert arr.value.shape == arr.arg.shape == (1,)
+        assert arr.value[0] == res.value and arr.arg[0] == res.arg
+        with pytest.raises(ValueError):
+            project_max_over_x(params, np.zeros((2, 2)), "zero")
+        with pytest.raises(ValueError):
+            project_max_over_x(params, np.array([0.2, 1.0]), "zero")
+
 
 class TestProjectOverM:
+    def test_array_matches_scalar_calls_across_blocks(self):
+        # more rows than one evaluation block holds; rows below the spectral
+        # cutoff x = sqrt(4/3) are -inf for every m
+        params = ModelParams(3, 3.0)
+        xs = np.linspace(0.0, 3.0, 200)
+        res = project_max_over_m(params, xs, "zero")
+        assert np.any(res.value == -np.inf) and np.any(np.isfinite(res.value))
+        for i, x in enumerate(xs):
+            one = project_max_over_m(params, float(x), "zero")
+            assert _same(res.value[i], one.value) and _same(res.arg[i], one.arg)
+
     def test_dominates_sampled_values(self):
         params = ModelParams(3, 2.0)
         rng = np.random.default_rng(3)
@@ -179,3 +203,69 @@ class TestBandEndpoints:
         band = band_endpoints(params, which="zero")
         assert band.m1 < 0.0 < band.m2  # the center band survives
         assert band.m_star is None
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    k=st.integers(3, 4),
+    lam=st.floats(0.0, 10.0),
+    which=st.sampled_from(["star", "zero"]),
+    ms=st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=4),
+    xs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+)
+def test_array_projection_equals_scalar_calls(k, lam, which, ms, xs):
+    # bitwise: the projection CLI compares its rows to scalar calls with ==
+    params = ModelParams(k, lam)
+    for project, points in ((project_max_over_x, ms), (project_max_over_m, xs)):
+        res = project(params, np.array(points), which)
+        for i, v in enumerate(points):
+            one = project(params, v, which)
+            assert _same(res.value[i], one.value) and _same(res.arg[i], one.arg)
+
+
+# band_endpoints as printed by `tensorland thresholds` when each projection
+# was a scalar coarse scan plus one golden-section polish per seed; the
+# batched search must reproduce them.  None marks an 'absent' touch point.
+SCALAR_SEARCH_BANDS = {
+    (3, 0.0): {
+        "zero": (-0.16165698011149626, 0.16165698011149626, None),
+        "star": (-0.7071067811943772, 0.7071067811943772, None),
+    },
+    (3, 0.5): {
+        "zero": (-0.1394963143362431, 0.20964937429172337, None),
+        "star": (-0.7071067811943772, 0.7071067811943772, None),
+    },
+    (3, 3.0): {
+        "zero": (-0.096524691106084554, 0.14330546624906992, 0.99051765468880648),
+        "star": (-0.34244146638103085, 0.34244146638103085, 0.99051765469887165),
+    },
+    (3, 8.0): {
+        "zero": (-0.069754623525753567, 0.053296992627076448, 0.99869365483170991),
+        "star": (-0.20738387862620877, 0.20738387862620877, 0.99869365476074035),
+    },
+    (4, 1.7): {
+        "zero": (-0.4968716920018032, 0.4968716920018032, 0.97586195942542819),
+        "star": (-0.63162483009876569, 0.63162483009876569, 0.97586195929041541),
+    },
+    (3, 32.0): {
+        "zero": (-0.039875787570455082, 0.013307802185512143, 0.99991860322851778),
+        "star": (-0.10321459874472041, 0.10321459874472041, 0.99991860322684434),
+    },
+}
+
+
+@pytest.mark.parametrize("which", ["zero", "star"])
+@pytest.mark.parametrize("k, lam", sorted(SCALAR_SEARCH_BANDS))
+def test_band_endpoints_match_scalar_search(k, lam, which):
+    m1, m2, m_star = SCALAR_SEARCH_BANDS[(k, lam)][which]
+    band = band_endpoints(ModelParams(k, lam), which=which)
+    assert abs(band.m1 - m1) <= 2e-10
+    assert abs(band.m2 - m2) <= 2e-10
+    if m_star is None:
+        assert band.m_star is None
+    else:
+        assert band.m_star is not None and abs(band.m_star - m_star) <= 1e-9
