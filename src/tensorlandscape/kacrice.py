@@ -229,7 +229,7 @@ def crt_expected(
     theta_unique, theta_inverse = np.unique(theta, return_inverse=True)
     log_weight = (
         n * _s_star_without_phi(params, m[:, None], x[None, :])
-        - 1.5 * np.log(1.0 - m * m)[:, None]
+        - 1.5 * np.log((1.0 - m) * (1.0 + m))[:, None]
         + math.log(dm * dx)
     )  # (m_steps, x_steps)
 

@@ -12,8 +12,9 @@ complexity formulas of the sibling modules are exact.
 Provided tools: Riemannian gradient and Hessian of f on the unit sphere
 (the Hessian in an explicit orthonormal tangent basis, so its eigenvalues
 classify critical points), tensor power iteration, projected gradient ascent
-with backtracking, and a multi-start Newton search that inventories critical
-points with their Morse index.
+with backtracking, and a multi-start search that inventories critical points
+with their Morse index by damped (Levenberg-Marquardt) Newton steps on
+|grad f|^2 / 2.
 
 Dense storage keeps the code transparent; it is meant for desk-scale
 dimensions (n^k memory), not production tensor decomposition.
@@ -291,9 +292,11 @@ def gradient_ascent(
 #: below it they are treated as zero modes (local-max classification margin)
 INDEX_ZERO_THRESHOLD = 1e-8
 
-#: smallest singular value under which the Newton system is solved by
-#: least squares instead of direct inversion
-_NEWTON_SINGULAR_GUARD = 1e-10
+#: Newton damping at each start, its floor, and the ceiling past which a start
+#: has stalled; a rejected step raises it tenfold, an accepted one lowers it
+_DAMPING_START = 1e-3
+_DAMPING_FLOOR = 1e-20
+_DAMPING_CEILING = 1e12
 
 
 def _newton_polish(
@@ -301,42 +304,35 @@ def _newton_polish(
     sigma: np.ndarray,
     newton_tol: float,
     max_iters: int,
-) -> tuple[np.ndarray, int] | None:
-    """Drive the sphere gradient to zero from one start; None if it stalls."""
+) -> tuple[np.ndarray, float, int] | None:
+    """Drive the sphere gradient to zero from one start; None if it stalls.
+
+    Levenberg-Marquardt on |grad f|^2 / 2: with H = V diag(e) V^T and tangent
+    gradient g, s = -V diag(e / (e^2 + mu)) V^T g solves (H^2 + mu I) s = -H g,
+    a descent step for every mu > 0.  Returns (sigma, |grad f|, steps taken).
+    """
+    mu = _DAMPING_START
+    grad = riemannian_grad(tensor, sigma)
+    grad_norm = float(np.linalg.norm(grad))
     for it in range(max_iters):
-        grad = riemannian_grad(tensor, sigma)
-        grad_norm = float(np.linalg.norm(grad))
         if grad_norm < newton_tol:
-            return sigma, it
+            return sigma, grad_norm, it
         basis = tangent_basis(sigma)
-        gt = basis.T @ grad
-        hess = riemannian_hess(tensor, sigma, basis=basis)
-        smin = float(np.min(np.abs(np.linalg.eigvalsh(hess))))
-        if smin < _NEWTON_SINGULAR_GUARD:
-            step_t = np.linalg.lstsq(hess, -gt, rcond=None)[0]
-            if not np.all(np.isfinite(step_t)) or float(np.linalg.norm(step_t)) == 0.0:
-                step_t = gt  # degenerate system: fall back to a gradient step
-        else:
-            step_t = np.linalg.solve(hess, -gt)
-        norm = float(np.linalg.norm(step_t))
-        if norm > 0.5:  # keep steps local; Newton is only trusted near a root
-            step_t *= 0.5 / norm
-        improved = False
-        for _ in range(30):
-            cand = sigma + basis @ step_t
+        eig, vec = np.linalg.eigh(riemannian_hess(tensor, sigma, basis=basis))
+        gv = vec.T @ (basis.T @ grad)
+        while True:
+            cand = sigma - basis @ (vec @ (eig / (eig * eig + mu) * gv))
             cand /= np.linalg.norm(cand)
-            cand_norm = float(np.linalg.norm(riemannian_grad(tensor, cand)))
-            if cand_norm < grad_norm or cand_norm < newton_tol:
-                sigma = cand
-                improved = True
+            cand_grad = riemannian_grad(tensor, cand)
+            cand_norm = float(np.linalg.norm(cand_grad))
+            if cand_norm < grad_norm:
                 break
-            step_t *= 0.5
-        if not improved:
-            return None
-    grad_norm = float(np.linalg.norm(riemannian_grad(tensor, sigma)))
-    if grad_norm < newton_tol:
-        return sigma, max_iters
-    return None
+            mu *= 10.0
+            if mu > _DAMPING_CEILING:
+                return None
+        sigma, grad, grad_norm = cand, cand_grad, cand_norm
+        mu = max(mu / 10.0, _DAMPING_FLOOR)
+    return (sigma, grad_norm, max_iters) if grad_norm < newton_tol else None
 
 
 def find_critical_points(
@@ -350,12 +346,19 @@ def find_critical_points(
     """Multi-start Newton inventory of critical points.
 
     Starts are uniform on the sphere.  Converged points are sorted by
-    (overlap, value) and deduplicated at angular distance ``dedup_angle``
+    (overlap, value) and deduplicated at chord distance ``dedup_angle``, which
+    also keeps them that far apart in angle since the chord is the shorter
     (antipodes are distinct points: for odd k they carry opposite values).
     Returns (records, number of non-convergent starts).
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if not (math.isfinite(newton_tol) and newton_tol > 0.0):
+        raise ValueError("newton_tol must be finite and > 0")
+    if max_newton_iters < 1:
+        raise ValueError("max_newton_iters must be >= 1")
+    if not dedup_angle >= 0.0:
+        raise ValueError("dedup_angle must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     found: list[CriticalPointRecord] = []
     failures = 0
@@ -366,8 +369,7 @@ def find_critical_points(
         if polished is None:
             failures += 1
             continue
-        sigma, iters = polished
-        grad_norm = float(np.linalg.norm(riemannian_grad(tensor, sigma)))
+        sigma, grad_norm, iters = polished
         eigs = np.linalg.eigvalsh(riemannian_hess(tensor, sigma))
         found.append(
             CriticalPointRecord(
@@ -382,13 +384,7 @@ def find_critical_points(
     found.sort(key=lambda r: (r.m, r.f_value))
     records: list[CriticalPointRecord] = []
     for rec in found:
-        duplicate = False
-        for kept in records:
-            cosine = min(1.0, max(-1.0, float(np.dot(rec.sigma, kept.sigma))))
-            if math.acos(cosine) < dedup_angle:
-                duplicate = True
-                break
-        if not duplicate:
+        if all(np.linalg.norm(rec.sigma - kept.sigma) >= dedup_angle for kept in records):
             records.append(rec)
     return records, failures
 

@@ -99,10 +99,11 @@ def s_u(params: ModelParams, m):
     k, lam = params.k, params.lam
     mm = _validate_hemisphere(m)
     m2k = mm ** (2 * k)
+    one_minus = (1.0 - mm) * (1.0 + mm)  # 1 - m^2 without cancellation near m = 1
     val = (
         0.5 * math.log(k - 1.0)
-        + 0.5 * np.log(1.0 - mm * mm)
-        - k * lam * lam * mm ** (2 * k - 2) * (1.0 - mm * mm)
+        + 0.5 * np.log(one_minus)
+        - k * lam * lam * mm ** (2 * k - 2) * one_minus
         + (k / (k - 2.0)) * lam * lam * m2k
     )
     return _maybe_scalar(val)
@@ -123,11 +124,11 @@ def s_g(params: ModelParams, m):
     k, lam = params.k, params.lam
     mm = _validate_hemisphere(m)
     w = math.sqrt(0.5 * k) * lam * mm**k
+    one_minus = (1.0 - mm) * (1.0 + mm)
     val = (
-        0.5 * np.log(1.0 - mm * mm)
-        - k * lam * lam * mm ** (2 * k - 2) * (1.0 - mm * mm)
-        - w * w
-        + w * np.sqrt(1.0 + w * w)
+        0.5 * np.log(one_minus)
+        - k * lam * lam * mm ** (2 * k - 2) * one_minus
+        + w / (w + np.sqrt(1.0 + w * w))  # -w^2 + w sqrt(1 + w^2), not cancelling
         + np.arcsinh(w)
     )
     return _maybe_scalar(val)

@@ -322,11 +322,42 @@ class TestFindCriticalPoints:
             eigs = np.linalg.eigvalsh(riemannian_hess(tensor, rec.sigma))
             assert np.min(np.abs(eigs)) < 1e-8
 
+    def test_inventory_is_complete(self):
+        # Morse theory on S^(n-1): sum of (-1)^index is 1 + (-1)^(n-1); real
+        # eigenvector pairs are at most ((k-1)^n - 1)/(k-2) (Cartwright and
+        # Sturmfels 2013), 15 for n=4, k=3
+        n, k = 4, 3
+        u = np.zeros(n)
+        u[0] = 1.0
+        tensor = make_spiked_tensor(n, k, 1.5, u, seed=3)
+        records, _ = find_critical_points(tensor, n_starts=800, seed=2)
+        assert sum((-1) ** r.index for r in records) == 1 + (-1) ** (n - 1)
+        assert len(records) // 2 <= ((k - 1) ** n - 1) // (k - 2)
+
+    def test_record_gradient_norm_is_recomputable(self):
+        # the Newton search reports the norm it last evaluated; it must be
+        # the norm at the returned point, bit for bit
+        u = np.array([1.0, 0.0, 0.0, 0.0])
+        tensor = make_spiked_tensor(4, 3, 1.5, u, seed=3)
+        records, _ = find_critical_points(tensor, n_starts=200, seed=7)
+        assert records
+        for rec in records:
+            assert rec.grad_norm == float(np.linalg.norm(riemannian_grad(tensor, rec.sigma)))
+
     def test_rejects_bad_start_count(self):
         tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             find_critical_points(tensor, n_starts=0)
 
+    @pytest.mark.parametrize("setting", [
+        {"newton_tol": 0.0}, {"newton_tol": -1e-10}, {"newton_tol": math.nan},
+        {"newton_tol": math.inf}, {"max_newton_iters": 0},
+        {"dedup_angle": -1e-6}, {"dedup_angle": math.nan},
+    ])
+    def test_rejects_bad_search_setting(self, setting):
+        tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            find_critical_points(tensor, n_starts=1, **setting)
 
 class TestLandscapeHistogram:
     def _record(self, m, f, index):

@@ -123,6 +123,45 @@ class TestSG:
                 assert abs(s_g(params, m) - f_alpha(m * m, w)) < 1e-10
 
 
+class TestHighPrecisionDifferential:
+    """s_u and s_g against 40-digit mpmath, near m = 1 and at large w.
+
+    Errors are measured against the sum of the terms' magnitudes, with
+    -w^2 + w sqrt(1 + w^2) counted as the one term w / (w + sqrt(1 + w^2)).
+    The points are where the naive forms cancel: 1 - m*m would lose about
+    2.5e-10 at m = 1 - 1e-9, and -w^2 + w sqrt(1 + w^2) 3.2e-10 at lam = 1e3,
+    m = 0.99.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        saved = mpmath.mp.dps
+        mpmath.mp.dps = 40
+        self.mp = mpmath
+        yield
+        mpmath.mp.dps = saved
+
+    def ref_branches(self, k, lam, m):
+        """((s_u, scale), (s_g, scale)) at m."""
+        mp = self.mp
+        k, lam, m = mp.mpf(k), mp.mpf(lam), mp.mpf(m)
+        one_minus = 1 - m * m
+        w = mp.sqrt(k / 2) * lam * m**k
+        common = [mp.log(one_minus) / 2, -k * lam**2 * m ** (2 * k - 2) * one_minus]
+        low = [mp.log(k - 1) / 2] + common + [k / (k - 2) * lam**2 * m ** (2 * k)]
+        high = common + [w / (w + mp.sqrt(1 + w * w)), mp.asinh(w)]
+        return [(sum(t), sum(abs(v) for v in t)) for t in (low, high)]
+
+    @pytest.mark.parametrize("k, lam", [(3, 3.0), (3, 32.0), (3, 1e3), (4, 1.7), (5, 0.9)])
+    def test_branches(self, k, lam):
+        params = ModelParams(k, lam)
+        for m in (0.0, 0.3, 0.7, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+            (low, low_scale), (high, high_scale) = self.ref_branches(k, lam, m)
+            assert abs(s_u(params, m) - low) <= 2e-15 * (1 + low_scale), m
+            assert abs(s_g(params, m) - high) <= 2e-15 * (1 + high_scale), m
+
+
 class TestFAlpha:
     def test_tangent_zero_location(self):
         for alpha in (0.1, 0.5, 0.9):
