@@ -15,20 +15,21 @@ spanning hundreds of orders of magnitude do not overflow.
 
 Design notes:
 
-* every Monte Carlo sample owns a seed spawned from the caller's seed, and
-  samples run one after another in a plain loop.  A two-thread pool over
-  samples measured slower in total than this loop on the benchmark's oracle
-  estimates, so ``n_threads`` is only validated (>= 1) and has no effect.
-* one GOE draw is shared across all grid cells (common random numbers): the
-  cell coordinates enter only through the rank-one strength theta_n(m), which
-  requires one eigendecomposition per distinct theta (``_deformed_spectra``),
-  and the scalar shift t_n(x), which is free once the eigenvalues are known.
-  theta_n and t_n are ``theta_of_m`` and ``t_of_x`` scaled by sqrt(n/(n-1)),
+* Householder tridiagonalisation of W fixes e1, so H is orthogonally similar
+  to theta e1 e1^T + T - t I with T the beta = 1 tridiagonal model of GOE(d),
+  d = n - 1 (Dumitriu & Edelman, J. Math. Phys. 43, 2002).  All samples are
+  drawn at once from the caller's seed; ``n_threads`` is only validated.
+* one draw serves every grid cell (common random numbers): the bottom-up
+  LDL^T pivots p_d, ..., p_2 of T - t I are swept once per sample over all
+  shifts t_n(x), and theta_n(m) enters only the last pivot p_1, so a cell
+  costs O(1).  log|det H| is the sum of log|p_i|, and by Sylvester's inertia
+  H has as many eigenvalues above 0 as positive pivots: the local-maximum
+  restriction 1{H <= 0} keeps a cell when no pivot is positive, so it is at
+  most the unrestricted estimate sample by sample.  Each sample's (m, x)
+  grid is reduced on its own; no (samples, m, x) array is built.
+* theta_n and t_n are ``theta_of_m`` and ``t_of_x`` scaled by sqrt(n/(n-1)),
   and the exponential weight is n times the terms of ``s_star`` other than
   ``phi_star``: every formula comes from :mod:`tensorlandscape.complexity`.
-* restricting to local maxima multiplies the integrand by 1{H <= 0}, i.e.
-  1{max eig <= t_n(x)}; the restricted estimate is sample-by-sample at most
-  the unrestricted one.
 """
 
 from __future__ import annotations
@@ -83,46 +84,56 @@ class McEstimate:
             raise ValueError("std_error must be >= 0")
 
 
-def _goe_entries(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n))
-    return (a + a.T) / math.sqrt(2.0 * n)
-
-
 def sample_goe(n: int, seed: int) -> GOEMatrix:
     """Draw one GOE(n) matrix from the given seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return GOEMatrix(n=n, entries=_goe_entries(rng, n))
+    a = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=(n, n))
+    return GOEMatrix(n=n, entries=(a + a.T) / math.sqrt(2.0 * n))
 
 
-def _deformed_spectra(seed: np.random.SeedSequence, dim: int, thetas: np.ndarray) -> np.ndarray:
-    """Eigenvalues of theta e1 e1^T + W for one GOE(dim) draw W and each theta.
+def _tridiagonal(seed: int, n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_samples`` rows of GOE(dim)'s tridiagonal model: diagonal a_i ~ N(0, 2/dim),
+    squared off-diagonal b_i^2 ~ chi^2_(dim-i) / dim = Gamma((dim-i)/2, scale 2/dim)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(scale=math.sqrt(2.0 / dim), size=(n_samples, dim))
+    b2 = rng.gamma(np.arange(dim - 1.0, 0.0, -1.0) / 2.0, 2.0 / dim, size=(n_samples, dim - 1))
+    return a, b2
 
-    Returns shape (len(thetas), dim), each row ascending.  Each theta deforms
-    a fresh copy of the draw: adding theta to w[0, 0] and subtracting it
-    again would not restore the entry's bits.
+
+def _pivots(a: np.ndarray, b2: np.ndarray, t: np.ndarray):
+    """Bottom-up LDL^T pivots p_d, ..., p_2 of T - t I per row of (a, b2) and shift t.
+
+    Returns (samples, len(t)) arrays: the sum of log|p_i| and the number of
+    positive p_i over i >= 2, and ``last``, with p_1 = theta + last for the
+    deformation theta e1 e1^T.  A pivot below pivmin = tiny * max(1, max b^2)
+    in magnitude becomes -pivmin, LAPACK ``dstebz``'s rule: b^2 / p stays finite.
     """
-    w = _goe_entries(np.random.default_rng(seed), dim)
-    eig = np.empty((len(thetas), dim))
-    for i, theta in enumerate(thetas):
-        deformed = w.copy()
-        deformed[0, 0] += theta
-        eig[i] = np.linalg.eigvalsh(deformed)
-    return eig
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(b2, axis=1, initial=0.0))[:, None]
+    log_tail, n_positive = np.zeros((2, a.shape[0], t.size))
+    last = a[:, -1:] - t
+    for i in range(a.shape[1] - 2, -1, -1):
+        p = np.where(np.abs(last) < pivmin, -pivmin, last)
+        log_tail += np.log(np.abs(p))
+        n_positive += p > 0.0
+        last = a[:, i : i + 1] - t - b2[:, i : i + 1] / p
+    return log_tail, n_positive, last
 
 
-def _log_abs_det(eig: np.ndarray, t: np.ndarray, restrict_negative: bool) -> np.ndarray:
-    """log|det(H - t I)| for spectra ``eig`` (rows) and shifts ``t`` (columns).
-
-    With ``restrict_negative`` the entry is -inf wherever the shifted matrix
-    has an eigenvalue above 0, i.e. is not a local-maximum Hessian.
-    """
-    with np.errstate(divide="ignore"):
-        log_det = np.array([np.sum(np.log(np.abs(row[:, None] - t)), axis=0) for row in eig])
-    if restrict_negative:
-        log_det = np.where(eig[:, -1:] <= t, log_det, -np.inf)
-    return log_det
+def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool) -> np.ndarray:
+    """Per draw (a, b2), log sum over the (theta, t) cells of |det(theta e1 e1^T
+    + T - t I)| exp(log_weight); ``log_weight`` has shape (len(theta), len(t)).
+    ``restrict_negative`` keeps only cells with no pivot above 0 (H <= 0)."""
+    log_tail, n_positive, last = _pivots(*draws, t)
+    log_totals = np.empty(last.shape[0])
+    for s in range(last.shape[0]):
+        p1 = theta[:, None] + last[s]
+        with np.errstate(divide="ignore"):
+            log_det = log_tail[s] + np.log(np.abs(p1))
+        if restrict_negative:
+            log_det = np.where((p1 <= 0.0) & (n_positive[s] == 0), log_det, -np.inf)
+        log_totals[s] = logsumexp(log_det + log_weight)
+    return log_totals
 
 
 def expected_abs_det(
@@ -137,8 +148,8 @@ def expected_abs_det(
 
     ``restrict_negative`` inserts the indicator that the matrix is negative
     semidefinite (its largest eigenvalue at most 0), the local-maximum
-    condition.  ``n_threads`` must be >= 1 and has no effect: samples run
-    serially, so identical seeds give bit-identical estimates.
+    condition.  ``n_threads`` must be >= 1 and has no effect: identical seeds
+    give bit-identical estimates.
     """
     if n < 2:
         raise ValueError("n must be >= 2 (the matrix has dimension n - 1)")
@@ -146,11 +157,9 @@ def expected_abs_det(
         raise ValueError("n_samples must be >= 1")
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
-    thetas, t = np.array([float(coords.theta)]), np.array([float(coords.t)])
-    values = np.empty(n_samples)
-    for i, s in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
-        log_det = _log_abs_det(_deformed_spectra(s, n - 1, thetas), t, restrict_negative)
-        values[i] = np.exp(log_det[0, 0])
+    theta, t = np.array([float(coords.theta)]), np.array([float(coords.t)])
+    draws = _tridiagonal(seed, n_samples, n - 1)
+    values = np.exp(_log_totals(draws, theta, t, np.zeros((1, 1)), restrict_negative))
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return McEstimate(mean=mean, std_error=se, n_samples=n_samples)
@@ -192,12 +201,12 @@ def crt_expected(
     ("zero") with overlap in ``m_interval`` and objective value in ``x_interval``.
 
     Midpoint quadrature on an (m_steps x x_steps) grid of cell centers; the
-    determinant expectation is estimated with ``n_samples`` shared GOE draws.
+    determinant expectation is estimated with ``n_samples`` shared draws.
     ``m_interval`` is clipped to [-m_clip, m_clip]: the closed integrand has
     an integrable (1-m^2)^(-3/2) factor whose endpoint cells a midpoint rule
     cannot represent, and the clipped sliver carries no count mass at the
-    scales of interest.  ``n_threads`` must be >= 1 and has no effect: samples
-    run serially, so identical seeds give bit-identical estimates.
+    scales of interest.  ``n_threads`` must be >= 1 and has no effect:
+    identical seeds give bit-identical estimates.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -205,6 +214,8 @@ def crt_expected(
         raise ValueError(f"which must be 'star' or 'zero', got {which!r}")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if m_steps < 1 or x_steps < 1:
+        raise ValueError("m_steps and x_steps must be >= 1")
     if not 0.0 < m_clip < 1.0:
         raise ValueError("m_clip must lie in (0, 1)")
     if n_threads < 1:
@@ -217,27 +228,20 @@ def crt_expected(
     if not x_lo < x_hi:
         raise ValueError("x_interval is empty")
 
-    dm = (m_hi - m_lo) / m_steps
-    dx = (x_hi - x_lo) / x_steps
+    dm, dx = (m_hi - m_lo) / m_steps, (x_hi - x_lo) / x_steps
     m = m_lo + (np.arange(m_steps) + 0.5) * dm
     x = x_lo + (np.arange(x_steps) + 0.5) * dx
 
     finite_n = math.sqrt(n / (n - 1.0))
-    theta = finite_n * theta_of_m(params, m)
-    t = finite_n * t_of_x(params, x)
-    # one eigendecomposition per distinct rank-one strength (lam = 0 has one)
-    theta_unique, theta_inverse = np.unique(theta, return_inverse=True)
+    theta, t = finite_n * theta_of_m(params, m), finite_n * t_of_x(params, x)
     log_weight = (
         n * _s_star_without_phi(params, m[:, None], x[None, :])
         - 1.5 * np.log((1.0 - m) * (1.0 + m))[:, None]
         + math.log(dm * dx)
     )  # (m_steps, x_steps)
 
-    restrict = which == "zero"
-    log_totals = np.empty(n_samples)
-    for i, s in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
-        log_det = _log_abs_det(_deformed_spectra(s, n - 1, theta_unique), t, restrict)
-        log_totals[i] = logsumexp(log_det[theta_inverse] + log_weight)
+    draws = _tridiagonal(seed, n_samples, n - 1)
+    log_totals = _log_totals(draws, theta, t, log_weight, which == "zero")
     log_totals += log_count_prefactor(n, params.k)
 
     top = float(np.max(log_totals))
@@ -252,13 +256,7 @@ def crt_expected(
     with np.errstate(over="ignore"):
         mean = float(np.exp(log_mean))
         se = float(np.exp(top) * r_se)
-    return McEstimate(
-        mean=mean,
-        std_error=se,
-        n_samples=n_samples,
-        log_mean=log_mean,
-        log_std_error=r_se / r_mean,
-    )
+    return McEstimate(mean, se, n_samples, log_mean=log_mean, log_std_error=r_se / r_mean)
 
 
 def growth_rate_fit(estimates: Sequence[tuple[int, float]]) -> float:

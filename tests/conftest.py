@@ -1,0 +1,26 @@
+"""Fixtures shared by every test module."""
+
+import pytest
+
+try:
+    import mpmath
+except ImportError:  # the mpmath-based tests skip themselves
+    mpmath = None
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_unchanged():
+    """Fail any test that leaves mpmath's global working precision changed.
+
+    A leaked ``mp.dps`` silently changes the precision of every later mpmath
+    reference; set it with ``mpmath.workdps`` or restore it in a fixture.
+    """
+    if mpmath is None:
+        yield
+        return
+    before = mpmath.mp.dps
+    yield
+    after = mpmath.mp.dps
+    if after != before:
+        mpmath.mp.dps = before
+        pytest.fail(f"the test left mpmath.mp.dps at {after}, it was {before}")

@@ -162,6 +162,13 @@ class TestOracle:
         assert run(["oracle", "--n-list", "20,10,30", "--out", out]) == 2
         assert run(["oracle", "--n-list", "a,b,c", "--out", out]) == 2
 
+    def test_rejects_grid_steps_below_one(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        for flag, steps in (("--m-steps", 0), ("--m-steps", -3), ("--x-steps", 0)):
+            assert run(self.ARGS + [flag, steps, "--out", out]) == 2
+            assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_noiseless_power_recovers_spike(self, tmp_path):

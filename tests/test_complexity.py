@@ -187,16 +187,15 @@ class TestSurfaces:
     def test_high_precision_spot_value(self):
         # term-by-term high-precision oracle at an interior point
         mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-        mp.dps = 40
-        k, lam, m, x = 3, 3.0, mpmath.mpf("0.5"), mpmath.mpf("1.0")
-        half = mpmath.mpf(1) / 2
-        term = (half * (mpmath.log(k - 1) + 1) + half * mpmath.log(1 - m ** 2)
-                - k * lam ** 2 * m ** (2 * k - 2) * (1 - m ** 2)
-                - (x - lam * m ** k) ** 2)
-        y = mpmath.sqrt(mpmath.mpf(2 * k) / (k - 1)) * x
-        # |y| < 2 here, so the log-potential is y^2/4 - 1/2
-        term += y ** 2 / 4 - half
+        with mpmath.workdps(40):
+            k, lam, m, x = 3, 3.0, mpmath.mpf("0.5"), mpmath.mpf("1.0")
+            half = mpmath.mpf(1) / 2
+            term = (half * (mpmath.log(k - 1) + 1) + half * mpmath.log(1 - m ** 2)
+                    - k * lam ** 2 * m ** (2 * k - 2) * (1 - m ** 2)
+                    - (x - lam * m ** k) ** 2)
+            y = mpmath.sqrt(mpmath.mpf(2 * k) / (k - 1)) * x
+            # |y| < 2 here, so the log-potential is y^2/4 - 1/2
+            term += y ** 2 / 4 - half
         got = s_star(ModelParams(3, 3.0), 0.5, 1.0)
         assert abs(got - float(term)) < 1e-14
 

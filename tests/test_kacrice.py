@@ -2,7 +2,9 @@
 
 Oracles: folded-normal closed forms for the n=2 scalar case, tensor-product
 Gauss-Hermite quadrature for the n=3 two-by-two case, and direct empirical
-critical-point counting of sampled tensors at n=3.
+critical-point counting of sampled tensors at n=3.  The tridiagonal pivot
+kernel is checked against dense linear algebra on the same matrix, and its
+law against dense GOE draws.
 """
 
 import math
@@ -20,6 +22,7 @@ from tensorlandscape import (
     sample_goe,
 )
 from tensorlandscape.complexity import MatrixCoords, phi_star, s_star, t_of_x, theta_of_m
+from tensorlandscape.kacrice import _pivots, _tridiagonal
 from tensorlandscape.simulate import find_critical_points, make_spiked_tensor
 
 
@@ -48,6 +51,70 @@ def hermite_2x2_abs_det(theta, t, nodes=64):
     det = (z1 + theta - t) * (z2 - t) - (z3 / math.sqrt(2.0)) ** 2
     weight = w[:, None, None] * w[None, :, None] * w[None, None, :]
     return float(np.sum(weight * np.abs(det)) / (2.0 * math.pi) ** 1.5)
+
+
+def tridiagonal_matrix(a, b2):
+    """The explicit symmetric tridiagonal matrix with diagonal a and off-diagonal sqrt(b2)."""
+    b = np.sqrt(b2)
+    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+
+
+class TestPivotKernel:
+    """The LDL^T pivot sweep against dense linear algebra on the same matrices."""
+
+    @pytest.mark.parametrize("d", [1, 2, 39])
+    @pytest.mark.parametrize("theta", [-3.0, 0.4, 3.0])
+    def test_log_abs_det_and_inertia_match_eigvalsh(self, d, theta):
+        a, b2 = _tridiagonal(5, 6, d)
+        for s in range(6):
+            h = tridiagonal_matrix(a[s], b2[s])
+            h[0, 0] += theta
+            eig = np.linalg.eigvalsh(h)
+            # shifts below and above the spectrum and, away from every
+            # eigenvalue, in its widest gap and its middle gap
+            t = [eig[0] - 1.0, eig[-1] + 1.0]
+            if d > 1:
+                gaps = np.diff(eig)
+                for i in (int(np.argmax(gaps)), (d - 1) // 2):
+                    t.append(0.5 * (eig[i] + eig[i + 1]))
+            t = np.array(t)
+            log_tail, n_positive, last = _pivots(a[s : s + 1], b2[s : s + 1], t)
+            p1 = theta + last[0]
+            log_det = log_tail[0] + np.log(np.abs(p1))
+            expected = np.sum(np.log(np.abs(eig[:, None] - t)), axis=0)
+            np.testing.assert_allclose(log_det, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(n_positive[0] + (p1 > 0.0),
+                                          np.sum(eig[:, None] > t, axis=0))
+
+    def test_exactly_zero_pivot_stays_finite(self):
+        # p_3 = a_3 - t is exactly 0; floored at -pivmin, the sweep goes on
+        # and the product of the pivots is still the determinant
+        a, b2 = np.array([[0.7, -0.4, 0.25]]), np.array([[0.3, 0.5]])
+        theta, t = 0.2, np.array([0.25])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            log_tail, n_positive, last = _pivots(a, b2, t)
+        p1 = theta + last[0, 0]
+        log_det = log_tail[0, 0] + math.log(abs(p1))
+        h = tridiagonal_matrix(a[0], b2[0]) - t[0] * np.eye(3)
+        h[0, 0] += theta
+        assert math.isfinite(log_det)
+        assert log_det == pytest.approx(math.log(abs(np.linalg.det(h))), rel=0.0, abs=1e-12)
+        assert n_positive[0, 0] + (p1 > 0.0) == np.sum(np.linalg.eigvalsh(h) > 0.0)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_abs_det_law_matches_dense_goe(self, restrict):
+        # d = 5: the tridiagonal estimator against dense GOE(5) draws
+        theta, t, samples = 0.5, 1.5, 6000
+        w = np.array([sample_goe(5, seed=10_000 + i).entries for i in range(samples)])
+        w[:, 0, 0] += theta
+        h = w - t * np.eye(5)
+        values = np.abs(np.linalg.det(h))
+        if restrict:
+            values = values * (np.linalg.eigvalsh(h)[:, -1] <= 0.0)
+        dense_se = values.std(ddof=1) / math.sqrt(samples)
+        est = expected_abs_det(6, MatrixCoords(theta=theta, t=t), n_samples=samples,
+                               seed=17, restrict_negative=restrict)
+        assert abs(est.mean - values.mean()) < 4.0 * math.hypot(est.std_error, dense_se)
 
 
 class TestSampleGoe:
@@ -274,6 +341,20 @@ class TestCrtExpected:
             crt_expected(params, 5, x_interval=(1.0, 1.0))
         with pytest.raises(ValueError):
             crt_expected(params, 5, m_clip=1.0)
+
+    def test_growth_rate_large_n(self):
+        # lambda = 0 at n in the hundreds: the slope of log E[count] is
+        # within 0.03 of its n -> oo limit (1/2) log 2
+        params = ModelParams(3, 0.0)
+        pairs = [(n, crt_expected(params, n, n_samples=200, seed=0).log_mean)
+                 for n in (160, 320, 640)]
+        assert abs(growth_rate_fit(pairs) - 0.5 * math.log(2.0)) < 0.03
+
+    def test_rejects_grid_steps_below_one(self):
+        params = ModelParams(3, 1.0)
+        for steps in (dict(m_steps=0), dict(m_steps=-3), dict(x_steps=0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                crt_expected(params, 5, n_samples=2, **steps)
 
     def test_rejects_nonpositive_thread_count(self):
         params = ModelParams(3, 1.0)

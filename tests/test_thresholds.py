@@ -77,13 +77,13 @@ class TestSU:
 
     def test_high_precision_spot_value(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        k, lam, m = 3, mpmath.mpf(3), mpmath.mpf("0.3")
-        half = mpmath.mpf(1) / 2
-        expected = (half * mpmath.log(1 - m ** 2)
-                    - k * lam ** 2 * m ** (2 * k - 2) * (1 - m ** 2)
-                    + (k / mpmath.mpf(k - 2)) * lam ** 2 * m ** (2 * k)
-                    + half * mpmath.log(k - 1))
+        with mpmath.workdps(40):
+            k, lam, m = 3, mpmath.mpf(3), mpmath.mpf("0.3")
+            half = mpmath.mpf(1) / 2
+            expected = (half * mpmath.log(1 - m ** 2)
+                        - k * lam ** 2 * m ** (2 * k - 2) * (1 - m ** 2)
+                        + (k / mpmath.mpf(k - 2)) * lam ** 2 * m ** (2 * k)
+                        + half * mpmath.log(k - 1))
         assert abs(s_u(ModelParams(3, 3.0), 0.3) - float(expected)) < 1e-14
 
     def test_domain(self):
