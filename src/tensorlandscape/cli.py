@@ -160,9 +160,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--noiseless", action="store_true",
                    help="use the pure rank-one tensor (no noise)")
     s.add_argument("--max-iters", type=int, default=None,
-                   help="iteration cap (method-dependent default)")
+                   help="iteration cap, power and ascent only (method-dependent default)")
     s.add_argument("--tol", type=float, default=None,
-                   help="convergence tolerance (method-dependent default)")
+                   help="convergence tolerance, power and ascent only (method-dependent default)")
     s.add_argument("--n-starts", type=int, default=1000,
                    help="multistart count for method=newton")
     s.add_argument("--hist-out", default=None,
@@ -309,6 +309,8 @@ def cmd_simulate(args) -> None:
         raise ValueError("--hist-out requires --method newton")
     if args.hist_bins < 1:
         raise ValueError("--hist-bins must be >= 1")
+    if args.method == "newton" and (args.max_iters is not None or args.tol is not None):
+        raise ValueError("--max-iters and --tol do not apply to --method newton")
     ModelParams(args.k, args.lam)  # validate k and lambda
     header = "seed,n,k,lambda,method,m_final,f_final,grad_norm,index,iters"
     lines = [header]

@@ -13,7 +13,7 @@ value x = f(sigma):
 
 The local-maximum rate subtracts ``ldp_rate(theta, t)``, the large-deviation
 cost for the largest eigenvalue of a rank-one additively deformed GOE matrix
-to sit at ``t`` below its typical location ``bbp_edge(theta) = theta + 1/theta``.
+to sit at ``t`` below its typical location theta + 1/theta (the BBP edge).
 The coordinate maps ``theta_of_m`` / ``t_of_x`` translate landscape
 coordinates (m, x) into the deformation strength and spectral shift of the
 conditional Hessian.  ``phi_star`` is the log-potential of the semicircle
@@ -38,18 +38,14 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "LandscapePoint",
     "MatrixCoords",
-    "matrix_coords",
     "phi_star",
     "ldp_rate",
     "theta_of_m",
     "t_of_x",
     "s_star",
     "s_zero",
-    "stieltjes_semicircle",
     "j_spherical",
-    "bbp_edge",
 ]
 
 
@@ -73,33 +69,11 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class LandscapePoint:
-    """A point of the landscape plane: overlap ``m`` in [-1, 1], objective value ``x``."""
-
-    m: float
-    x: float
-
-    def __post_init__(self) -> None:
-        m, x = float(self.m), float(self.x)
-        if not math.isfinite(m) or abs(m) > 1.0:
-            raise ValueError(f"overlap m must be finite with |m| <= 1, got {self.m!r}")
-        if not math.isfinite(x):
-            raise ValueError(f"objective value x must be finite, got {self.x!r}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
 class MatrixCoords:
     """Conditional-Hessian coordinates: rank-one strength ``theta``, spectral shift ``t``."""
 
     theta: float
     t: float
-
-
-def matrix_coords(params: ModelParams, point: LandscapePoint) -> MatrixCoords:
-    """Map a landscape point (m, x) to the (theta, t) coordinates of its Hessian law."""
-    return MatrixCoords(theta=theta_of_m(params, point.m), t=t_of_x(params, point.x))
 
 
 def _as_finite_array(x, name: str) -> np.ndarray:
@@ -139,14 +113,6 @@ def _sqrt_shifted_antideriv(y: np.ndarray) -> np.ndarray:
     #   (y/2) sqrt(y^2-4) - 2 log((y + sqrt(y^2-4))/2),  zero at y = 2
     s = np.sqrt(np.maximum(y * y - 4.0, 0.0))
     return 0.5 * y * s - 2.0 * np.log(0.5 * (y + s))
-
-
-def bbp_edge(theta):
-    """Typical largest eigenvalue theta + 1/theta of GOE + theta e1 e1^T, for theta > 0."""
-    th = _as_finite_array(theta, "theta")
-    if np.any(th <= 0.0):
-        raise ValueError("bbp_edge requires theta > 0")
-    return _maybe_scalar(th + 1.0 / th)
 
 
 def ldp_rate(theta, t):
@@ -260,20 +226,6 @@ def s_zero(params: ModelParams, m, x):
     # star = -inf (overlap edge) and cost = +inf combine to -inf under IEEE
     # arithmetic, which is the intended reading: the region is unreachable.
     return _maybe_scalar(star - cost)
-
-
-def stieltjes_semicircle(z):
-    """Stieltjes transform of the semicircle law at real z with |z| >= 2.
-
-    (z - sign(z) sqrt(z^2-4))/2: the branch that behaves like 1/z at infinity.
-    Functional inverse of w -> w + 1/w on (0, 1], so the R-transform of the
-    semicircle law is the identity.
-    """
-    zz = _as_finite_array(z, "z")
-    if np.any(np.abs(zz) < 2.0):
-        raise ValueError("stieltjes_semicircle is real only for |z| >= 2")
-    s = np.sqrt(zz * zz - 4.0)
-    return _maybe_scalar(0.5 * (zz - np.sign(zz) * s))
 
 
 def j_spherical(x, theta):

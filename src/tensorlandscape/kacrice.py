@@ -184,6 +184,10 @@ def log_count_prefactor(n: int, k: int) -> float:
     )
 
 
+#: the |m| bound of the count integral, see ``crt_expected``
+_M_CLIP = 0.999
+
+
 def crt_expected(
     params: ModelParams,
     n: int,
@@ -195,14 +199,13 @@ def crt_expected(
     seed: int = 0,
     which: str = "star",
     n_threads: int = 1,
-    m_clip: float = 0.999,
 ) -> McEstimate:
     """Exact finite-n expected count of critical points ("star") or local maxima
     ("zero") with overlap in ``m_interval`` and objective value in ``x_interval``.
 
     Midpoint quadrature on an (m_steps x x_steps) grid of cell centers; the
     determinant expectation is estimated with ``n_samples`` shared draws.
-    ``m_interval`` is clipped to [-m_clip, m_clip]: the closed integrand has
+    ``m_interval`` is clipped to [-0.999, 0.999]: the closed integrand has
     an integrable (1-m^2)^(-3/2) factor whose endpoint cells a midpoint rule
     cannot represent, and the clipped sliver carries no count mass at the
     scales of interest.  ``n_threads`` must be >= 1 and has no effect:
@@ -216,12 +219,10 @@ def crt_expected(
         raise ValueError("n_samples must be >= 2")
     if m_steps < 1 or x_steps < 1:
         raise ValueError("m_steps and x_steps must be >= 1")
-    if not 0.0 < m_clip < 1.0:
-        raise ValueError("m_clip must lie in (0, 1)")
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
-    m_lo = max(float(m_interval[0]), -m_clip)
-    m_hi = min(float(m_interval[1]), m_clip)
+    m_lo = max(float(m_interval[0]), -_M_CLIP)
+    m_hi = min(float(m_interval[1]), _M_CLIP)
     x_lo, x_hi = float(x_interval[0]), float(x_interval[1])
     if not m_lo < m_hi:
         raise ValueError("m_interval is empty after clipping")

@@ -49,6 +49,17 @@ _BLOCK_CELLS = 1 << 16
 #: Points per side that one call of the band scan projects.
 _SCAN_CHUNK = 64
 
+#: Bracket width at which a projection's golden-section polish stops.
+_PROJECTION_XTOL = 1e-9
+
+#: Overlap interval of ``project_max_over_m``.
+_M_SEARCH = (-1.0 + 1e-9, 1.0 - 1e-9)
+
+#: Points of the band search's outward scan over [0, 1 - 1e-7], and how far
+#: below zero a high-overlap maximum may sit and still be the touch point.
+_BAND_SCAN_POINTS = 1200
+_TOUCH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -173,7 +184,7 @@ def _coarse_maxima(vals: np.ndarray) -> np.ndarray:
     return np.isfinite(vals) & (vals >= padded[:, :-2]) & (vals >= padded[:, 2:])
 
 
-def _project_rows(f, fixed, lo: float, hi: float, coarse: int, xtol: float) -> ProjectionResult:
+def _project_rows(f, fixed, lo: float, hi: float, coarse: int) -> ProjectionResult:
     """Maximize ``f(r, u)`` over u in [lo, hi] at each fixed coordinate r.
 
     ``fixed`` is a scalar or a 1-D array; ``f`` broadcasts over arrays.
@@ -203,7 +214,7 @@ def _project_rows(f, fixed, lo: float, hi: float, coarse: int, xtol: float) -> P
             lambda j, u: f(r[row[j]], u),
             us[np.maximum(col - 1, 0)],
             us[np.minimum(col + 1, coarse - 1)],
-            xtol,
+            _PROJECTION_XTOL,
         )
         seed_val = vals[row, col]
         lost = seed_val > val  # refinement must never lose to its own seed
@@ -227,7 +238,6 @@ def project_max_over_x(
     which: str = "star",
     x_search: tuple[float, float] | None = None,
     coarse: int = 401,
-    xtol: float = 1e-9,
 ) -> ProjectionResult:
     """Maximize the chosen complexity over the objective value x at fixed overlap m.
 
@@ -246,28 +256,22 @@ def project_max_over_x(
     lo, hi = map(float, x_search)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("x_search must be a finite interval (lo, hi) with lo < hi")
-    return _project_rows(lambda m_, x_: fn(params, m_, x_), m, lo, hi, coarse, xtol)
+    return _project_rows(lambda m_, x_: fn(params, m_, x_), m, lo, hi, coarse)
 
 
 def project_max_over_m(
     params: ModelParams,
     x,
     which: str = "star",
-    m_search: tuple[float, float] | None = None,
     coarse: int = 401,
-    xtol: float = 1e-9,
 ) -> ProjectionResult:
     """Maximize the chosen complexity over the overlap m at fixed objective value x.
 
     ``x`` is a scalar or a 1-D array, as for :func:`project_max_over_x`.
+    The search interval is [-1 + 1e-9, 1 - 1e-9].
     """
     fn = _complexity_fn(which)
-    if m_search is None:
-        m_search = (-1.0 + 1e-9, 1.0 - 1e-9)
-    lo, hi = map(float, m_search)
-    if not (-1.0 < lo < hi < 1.0):
-        raise ValueError("m_search must satisfy -1 < lo < hi < 1")
-    return _project_rows(lambda x_, m_: fn(params, m_, x_), x, lo, hi, coarse, xtol)
+    return _project_rows(lambda x_, m_: fn(params, m_, x_), x, *_M_SEARCH, coarse)
 
 
 def region_nonnegative(
@@ -315,8 +319,6 @@ def _bisect_crossings(fn, lo, hi, f_hi: np.ndarray, xtol: float) -> np.ndarray:
 def band_endpoints(
     params: ModelParams,
     which: str = "zero",
-    scan_points: int = 1200,
-    zero_tol: float = 1e-9,
     xtol: float = 1e-10,
 ) -> BandReport:
     """Locate where the projected complexity max_x S(m, x) changes sign.
@@ -324,21 +326,21 @@ def band_endpoints(
     Scans the projection outward from m = 0 on both sides and bisects the
     first sign change to ``xtol``; that pair (m1, m2) brackets the band of
     exponentially numerous uninformative points.  A second, interior local
-    maximum of the projection at high overlap whose value is within
-    ``zero_tol`` of zero is reported as ``m_star`` (the signal-correlated
-    touch point); absent below the critical SNR.
+    maximum of the projection at high overlap whose value is within 1e-9 of
+    zero is reported as ``m_star`` (the signal-correlated touch point);
+    absent below the critical SNR.
     """
     def proj(ms: np.ndarray) -> np.ndarray:
         return project_max_over_x(params, ms, which=which).value
 
     limit = 1.0 - 1e-7
-    ms = np.linspace(0.0, limit, scan_points)
+    ms = np.linspace(0.0, limit, _BAND_SCAN_POINTS)
 
     # both outward scans advance together, _SCAN_CHUNK points per side per
     # call; a side stops at its first chunk holding a nonpositive value
     crossings = {}  # side -> (last positive m, first nonpositive m, its value)
     open_sides = [] if proj(np.zeros(1))[0] <= 0.0 else [1.0, -1.0]
-    for start in range(1, scan_points, _SCAN_CHUNK):
+    for start in range(1, _BAND_SCAN_POINTS, _SCAN_CHUNK):
         if not open_sides:
             break
         block = ms[start : start + _SCAN_CHUNK]
@@ -377,6 +379,6 @@ def band_endpoints(
         if cand.size:
             best = cand[np.argmax(vals[cand])]  # first of equal maxima
             arg, val = _golden_max(lambda _, u: proj(u), ms[[best - 1]], ms[[best + 1]], 1e-10)
-            if val[0] >= -zero_tol:
+            if val[0] >= -_TOUCH_TOL:
                 m_star = float(arg[0])
     return BandReport(m1=m1, m2=m2, m_star=m_star)

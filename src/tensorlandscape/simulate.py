@@ -176,11 +176,16 @@ def tangent_basis(sigma: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _sphere_grad(k: int, w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """k P_orth w for the contraction w = Y[sigma^(k-1)]."""
+    g = k * w
+    return g - np.dot(g, sigma) * sigma
+
+
 def riemannian_grad(tensor: SpikedTensor, sigma: np.ndarray) -> np.ndarray:
     """Sphere gradient of f at unit sigma: k P_orth Y[sigma^(k-1)], an n-vector."""
     sigma = np.asarray(sigma, dtype=float)
-    g = tensor.k * _contract(tensor.data, sigma, tensor.k - 1)
-    return g - np.dot(g, sigma) * sigma
+    return _sphere_grad(tensor.k, _contract(tensor.data, sigma, tensor.k - 1), sigma)
 
 
 def riemannian_hess(
@@ -203,6 +208,13 @@ def riemannian_hess(
     return 0.5 * (hess + hess.T)
 
 
+def _check_iteration_settings(max_iters: int, tol: float) -> None:
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and > 0")
+
+
 def power_iteration(
     tensor: SpikedTensor,
     sigma0: np.ndarray,
@@ -215,8 +227,9 @@ def power_iteration(
     returns (sigma, iterations used); raises DegenerateIterateError on a zero
     contraction (e.g. a noiseless tensor contracted orthogonally to its
     spike, whose orthogonal sphere is an invariant set the iteration cannot
-    leave).
+    leave).  ``max_iters`` must be >= 1 and ``tol`` finite and > 0.
     """
+    _check_iteration_settings(max_iters, tol)
     sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
     sigma = sigma / np.linalg.norm(sigma)
     for it in range(1, max_iters + 1):
@@ -232,10 +245,13 @@ def power_iteration(
     return sigma, max_iters
 
 
+#: the largest ascent step, also the size the working step regrows to
+_ASCENT_STEP = 0.1
+
+
 def gradient_ascent(
     tensor: SpikedTensor,
     sigma0: np.ndarray,
-    step: float = 0.1,
     max_iters: int = 2000,
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, AscentTrace]:
@@ -245,17 +261,20 @@ def gradient_ascent(
     1e-12 (so the recorded trace is monotone up to that tolerance); otherwise
     the step is halved.  Terminates when the gradient norm drops below
     ``tol``; running out of iterations is reported via the trace, not raised.
+    Each point is contracted once: w = Y[sigma^(k-1)] gives both f = w . sigma
+    and the gradient.  ``max_iters`` must be >= 1 and ``tol`` finite and > 0.
     """
+    _check_iteration_settings(max_iters, tol)
     sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
     sigma = sigma / np.linalg.norm(sigma)
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
-    f_val = objective(tensor, sigma)
+    k = tensor.k
+    w = _contract(tensor.data, sigma, k - 1)
+    f_val = float(np.tensordot(w, sigma, axes=1))
     trace = [f_val]
     converged = False
-    current = step
+    current = _ASCENT_STEP
     for _ in range(max_iters):
-        grad = riemannian_grad(tensor, sigma)
+        grad = _sphere_grad(k, w, sigma)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < tol:
             converged = True
@@ -266,9 +285,10 @@ def gradient_ascent(
             norm = float(np.linalg.norm(cand))
             if norm > 0.0:
                 cand = cand / norm
-                f_cand = objective(tensor, cand)
+                w_cand = _contract(tensor.data, cand, k - 1)
+                f_cand = float(np.tensordot(w_cand, cand, axes=1))
                 if f_cand >= f_val - 1e-12:
-                    sigma, f_val = cand, f_cand
+                    sigma, w, f_val = cand, w_cand, f_cand
                     trace.append(f_val)
                     accepted = True
                     break
@@ -277,8 +297,8 @@ def gradient_ascent(
             break
         # cautiously regrow the working step so one bad region does not
         # freeze progress for the rest of the run
-        current = min(current * 1.25, step)
-    grad_norm = float(np.linalg.norm(riemannian_grad(tensor, sigma)))
+        current = min(current * 1.25, _ASCENT_STEP)
+    grad_norm = float(np.linalg.norm(_sphere_grad(k, w, sigma)))
     converged = converged or grad_norm < tol
     return sigma, AscentTrace(
         f_values=np.asarray(trace),
@@ -293,17 +313,19 @@ def gradient_ascent(
 INDEX_ZERO_THRESHOLD = 1e-8
 
 #: Newton damping at each start, its floor, and the ceiling past which a start
-#: has stalled; a rejected step raises it tenfold, an accepted one lowers it
+#: has stalled; a rejected step raises it tenfold, an accepted one lowers it.
+#: A start converges once |grad f| < _NEWTON_TOL, within _NEWTON_MAX_ITERS
+#: steps; found points closer than _DEDUP_CHORD in chord distance are merged.
 _DAMPING_START = 1e-3
 _DAMPING_FLOOR = 1e-20
 _DAMPING_CEILING = 1e12
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITERS = 100
+_DEDUP_CHORD = 1e-6
 
 
 def _newton_polish(
-    tensor: SpikedTensor,
-    sigma: np.ndarray,
-    newton_tol: float,
-    max_iters: int,
+    tensor: SpikedTensor, sigma: np.ndarray
 ) -> tuple[np.ndarray, float, int] | None:
     """Drive the sphere gradient to zero from one start; None if it stalls.
 
@@ -314,8 +336,8 @@ def _newton_polish(
     mu = _DAMPING_START
     grad = riemannian_grad(tensor, sigma)
     grad_norm = float(np.linalg.norm(grad))
-    for it in range(max_iters):
-        if grad_norm < newton_tol:
+    for it in range(_NEWTON_MAX_ITERS):
+        if grad_norm < _NEWTON_TOL:
             return sigma, grad_norm, it
         basis = tangent_basis(sigma)
         eig, vec = np.linalg.eigh(riemannian_hess(tensor, sigma, basis=basis))
@@ -332,40 +354,31 @@ def _newton_polish(
                 return None
         sigma, grad, grad_norm = cand, cand_grad, cand_norm
         mu = max(mu / 10.0, _DAMPING_FLOOR)
-    return (sigma, grad_norm, max_iters) if grad_norm < newton_tol else None
+    return (sigma, grad_norm, _NEWTON_MAX_ITERS) if grad_norm < _NEWTON_TOL else None
 
 
 def find_critical_points(
     tensor: SpikedTensor,
     n_starts: int = 1000,
-    newton_tol: float = 1e-10,
-    dedup_angle: float = 1e-6,
     seed: int = 0,
-    max_newton_iters: int = 100,
 ) -> tuple[list[CriticalPointRecord], int]:
     """Multi-start Newton inventory of critical points.
 
     Starts are uniform on the sphere.  Converged points are sorted by
-    (overlap, value) and deduplicated at chord distance ``dedup_angle``, which
-    also keeps them that far apart in angle since the chord is the shorter
+    (overlap, value) and deduplicated at chord distance 1e-6, which also
+    keeps them that far apart in angle since the chord is the shorter
     (antipodes are distinct points: for odd k they carry opposite values).
     Returns (records, number of non-convergent starts).
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    if not (math.isfinite(newton_tol) and newton_tol > 0.0):
-        raise ValueError("newton_tol must be finite and > 0")
-    if max_newton_iters < 1:
-        raise ValueError("max_newton_iters must be >= 1")
-    if not dedup_angle >= 0.0:
-        raise ValueError("dedup_angle must be >= 0")
+    if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     found: list[CriticalPointRecord] = []
     failures = 0
     for _ in range(n_starts):
         start = rng.normal(size=tensor.n)
         start /= np.linalg.norm(start)
-        polished = _newton_polish(tensor, start, newton_tol, max_newton_iters)
+        polished = _newton_polish(tensor, start)
         if polished is None:
             failures += 1
             continue
@@ -384,7 +397,7 @@ def find_critical_points(
     found.sort(key=lambda r: (r.m, r.f_value))
     records: list[CriticalPointRecord] = []
     for rec in found:
-        if all(np.linalg.norm(rec.sigma - kept.sigma) >= dedup_angle for kept in records):
+        if all(np.linalg.norm(rec.sigma - kept.sigma) >= _DEDUP_CHORD for kept in records):
             records.append(rec)
     return records, failures
 
@@ -393,25 +406,22 @@ def landscape_histogram(
     records: list[CriticalPointRecord],
     m_bins: int = 20,
     f_bins: int = 20,
-    m_range: tuple[float, float] = (-1.0, 1.0),
-    f_range: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2D histogram of local-maximum records over (overlap, value).
 
-    Only records with Morse index 0 are binned.  ``f_range`` defaults to the
-    value span of all supplied records (padded), so an empty local-max subset
-    still yields a well-defined zero histogram.
+    Only records with Morse index 0 are binned.  The overlap axis spans
+    [-1, 1]; the value axis spans the values of all supplied records (padded),
+    so an empty local-max subset still yields a well-defined zero histogram.
     """
     if not records:
         raise ValueError("landscape_histogram needs a nonempty record list")
-    if f_range is None:
-        f_all = [r.f_value for r in records]
-        span = max(max(f_all) - min(f_all), 1e-12)
-        f_range = (min(f_all) - 0.05 * span, max(f_all) + 0.05 * span)
+    f_all = [r.f_value for r in records]
+    span = max(max(f_all) - min(f_all), 1e-12)
+    f_range = (min(f_all) - 0.05 * span, max(f_all) + 0.05 * span)
     maxima = [r for r in records if r.index == 0]
     m_vals = np.array([r.m for r in maxima])
     f_vals = np.array([r.f_value for r in maxima])
     counts, m_edges, f_edges = np.histogram2d(
-        m_vals, f_vals, bins=[m_bins, f_bins], range=[m_range, f_range]
+        m_vals, f_vals, bins=[m_bins, f_bins], range=[(-1.0, 1.0), f_range]
     )
     return counts, m_edges, f_edges

@@ -236,6 +236,20 @@ class TestSimulate:
         assert code == 2
         assert not out.exists() and not hist.exists()
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("power", "--max-iters", -5), ("power", "--max-iters", 0),
+        ("power", "--tol", 0), ("ascent", "--tol", "nan"), ("ascent", "--tol", -0.5),
+        ("ascent", "--max-iters", 0), ("newton", "--max-iters", 50),
+        ("newton", "--tol", 1e-9),
+    ])
+    def test_rejects_bad_iteration_setting(self, tmp_path, capsys, method, flag, value):
+        out = tmp_path / "s.csv"
+        code = run(["simulate", "--method", method, "--n", 6, "--n-starts", 10,
+                    flag, value, "--out", out])
+        assert code == 2
+        assert flag.split("-")[-1] in capsys.readouterr().err  # "iters" or "tol"
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--method", "power", "--lambda", 1.2, "--n", 9,
                 "--seeds", 2]

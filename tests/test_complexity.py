@@ -8,17 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from tensorlandscape import (
-    LandscapePoint,
-    MatrixCoords,
     ModelParams,
-    bbp_edge,
     j_spherical,
     ldp_rate,
-    matrix_coords,
     phi_star,
     s_star,
     s_zero,
-    stieltjes_semicircle,
     t_of_x,
     theta_of_m,
 )
@@ -50,10 +45,15 @@ class TestModelParams:
             ModelParams(3.5, 1.0)
 
     def test_landscape_point_domain(self):
-        LandscapePoint(0.5, 1.0)
-        LandscapePoint(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            LandscapePoint(1.0000001, 0.0)
+        # the surfaces take any point with |m| <= 1 and finite x, and no other
+        params = ModelParams(3, 1.0)
+        for surface in (s_star, s_zero):
+            surface(params, 0.5, 1.0)
+            surface(params, -1.0, 0.0)
+            with pytest.raises(ValueError):
+                surface(params, 1.0000001, 0.0)
+            with pytest.raises(ValueError):
+                surface(params, 0.5, math.nan)
 
 
 class TestPhiStar:
@@ -156,13 +156,6 @@ class TestCoordinateMaps:
             x_edge = math.sqrt(2.0 * (k - 1) / k)
             assert abs(t_of_x(params, x_edge) - 2.0) < 1e-14
 
-    def test_matrix_coords_bundle(self):
-        params = ModelParams(4, 1.5)
-        mc = matrix_coords(params, LandscapePoint(0.3, 1.1))
-        assert isinstance(mc, MatrixCoords)
-        assert mc.theta == theta_of_m(params, 0.3)
-        assert mc.t == t_of_x(params, 1.1)
-
 
 class TestSurfaces:
     def test_center_value(self):
@@ -233,26 +226,6 @@ class TestSurfaces:
         assert isinstance(s_star(params, 0.1, 0.2), float)
 
 
-class TestStieltjes:
-    def test_quadratic_relation(self):
-        # s solves s^2 - z s + 1 = 0 on |z| >= 2
-        for z in (2.0, -2.0, 2.5, -3.7, 10.0):
-            s = stieltjes_semicircle(z)
-            assert abs(s * s - z * s + 1.0) < 1e-12
-            assert abs(s) <= 1.0 + 1e-12
-
-    def test_domain_error_inside_bulk(self):
-        with pytest.raises(ValueError):
-            stieltjes_semicircle(1.9)
-
-    def test_quadrature_oracle(self):
-        z = 3.0
-        val, err = integrate.quad(
-            lambda y: np.sqrt(4.0 - y * y) / (2.0 * np.pi * (z - y)), -2.0, 2.0)
-        assert err < 1e-7
-        assert abs(stieltjes_semicircle(z) - val) < 1e-8
-
-
 class TestJSpherical:
     def test_weak_pull_value(self):
         assert abs(j_spherical(2.0, 0.5) - 0.0625) < 1e-15
@@ -282,20 +255,6 @@ class TestJSpherical:
             j_spherical(2.5, 0.0)
         with pytest.raises(ValueError):
             j_spherical(2.5, -1.0)
-
-
-class TestBbpEdge:
-    def test_values(self):
-        assert bbp_edge(1.0) == 2.0
-        assert abs(bbp_edge(2.0) - 2.5) < 1e-15
-
-    def test_minimum_at_one(self):
-        th = np.linspace(0.2, 5.0, 300)
-        assert np.all(bbp_edge(th) >= 2.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            bbp_edge(0.0)
 
 
 class TestHighPrecisionDifferential:

@@ -4,7 +4,8 @@ Oracles: folded-normal closed forms for the n=2 scalar case, tensor-product
 Gauss-Hermite quadrature for the n=3 two-by-two case, and direct empirical
 critical-point counting of sampled tensors at n=3.  The tridiagonal pivot
 kernel is checked against dense linear algebra on the same matrix, and its
-law against dense GOE draws.
+law against dense GOE draws.  Up to n = 640, the count density of one small
+cell, divided by n, is checked to approach the closed-form surfaces.
 """
 
 import math
@@ -21,7 +22,9 @@ from tensorlandscape import (
     log_count_prefactor,
     sample_goe,
 )
-from tensorlandscape.complexity import MatrixCoords, phi_star, s_star, t_of_x, theta_of_m
+from tensorlandscape.complexity import (
+    MatrixCoords, phi_star, s_star, s_zero, t_of_x, theta_of_m,
+)
 from tensorlandscape.kacrice import _pivots, _tridiagonal
 from tensorlandscape.simulate import find_critical_points, make_spiked_tensor
 
@@ -217,8 +220,8 @@ class TestExpectedAbsDet:
         assert a.std_error == b.std_error
 
     def test_log_eigenvalue_determinant_identity(self):
-        # the sampler works through eigenvalues; check against a direct
-        # determinant on a 5x5 deformed draw
+        # a deformed sample_goe draw, as the dense reference of TestPivotKernel
+        # builds them: its shifted determinant through the eigenvalues and directly
         theta, t = 1.3, 0.4
         h = sample_goe(5, seed=42).entries.copy()
         h[0, 0] += theta
@@ -339,8 +342,6 @@ class TestCrtExpected:
             crt_expected(params, 5, m_interval=(0.9995, 0.9999))
         with pytest.raises(ValueError):
             crt_expected(params, 5, x_interval=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            crt_expected(params, 5, m_clip=1.0)
 
     def test_growth_rate_large_n(self):
         # lambda = 0 at n in the hundreds: the slope of log E[count] is
@@ -349,6 +350,21 @@ class TestCrtExpected:
         pairs = [(n, crt_expected(params, n, n_samples=200, seed=0).log_mean)
                  for n in (160, 320, 640)]
         assert abs(growth_rate_fit(pairs) - 0.5 * math.log(2.0)) < 0.03
+
+    @pytest.mark.parametrize("which, lam, m, x", [
+        ("star", 1.5, 0.3, 0.5), ("star", 0.0, 0.0, 0.3), ("zero", 1.5, 0.3, 1.4),
+    ])
+    def test_cell_density_tends_to_the_limit(self, which, lam, m, x):
+        # one small cell: (log E[count] - log area) / n -> s_star or s_zero at (m, x)
+        params, h = ModelParams(3, lam), 1e-3
+        limit = (s_star if which == "star" else s_zero)(params, m, x)
+        gaps = [abs((crt_expected(params, n, m_interval=(m - h, m + h),
+                                  x_interval=(x - h, x + h), m_steps=1, x_steps=1,
+                                  n_samples=200, seed=0, which=which).log_mean
+                     - math.log(4.0 * h * h)) / n - limit)
+                for n in (40, 160, 640)]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 0.03
 
     def test_rejects_grid_steps_below_one(self):
         params = ModelParams(3, 1.0)

@@ -23,6 +23,7 @@ from tensorlandscape import (
     riemannian_hess,
     tangent_basis,
 )
+from tensorlandscape import simulate
 from tensorlandscape.simulate import CriticalPointRecord
 
 
@@ -267,10 +268,47 @@ class TestGradientAscent:
             top = float(np.linalg.eigvalsh(riemannian_hess(tensor, sigma))[-1])
             assert top <= 1e-6
 
-    def test_rejects_bad_step(self):
-        tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            gradient_ascent(tensor, np.array([0.0, 1.0, 0.0]), step=0.0)
+    def test_final_value_and_gradient_match_fresh_calls(self):
+        # f and the gradient come from one contraction per point; they must
+        # equal what objective and riemannian_grad give, bit for bit
+        rng = np.random.default_rng(5)
+        tensor = make_spiked_tensor(10, 3, 1.5, unit(rng, 10), seed=4)
+        for max_iters in (1, 7, 2000):
+            sigma, trace = gradient_ascent(tensor, unit(rng, 10), max_iters=max_iters)
+            assert trace.f_values[-1] == objective(tensor, sigma)
+            assert trace.grad_norm == float(np.linalg.norm(riemannian_grad(tensor, sigma)))
+
+    def test_contracts_each_point_once(self, monkeypatch):
+        contracted = []
+        original = simulate._contract
+
+        def recording(data, sigma, times):
+            contracted.append(np.asarray(sigma).tobytes())
+            return original(data, sigma, times)
+
+        monkeypatch.setattr(simulate, "_contract", recording)
+        rng = np.random.default_rng(8)
+        tensor = make_spiked_tensor(10, 3, 1.5, unit(rng, 10), seed=4)
+        _, trace = gradient_ascent(tensor, unit(rng, 10), max_iters=300)
+        assert len(contracted) > trace.iters > 1
+        assert len(set(contracted)) == len(contracted)
+
+
+@pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
+@pytest.mark.parametrize("setting", [
+    {"max_iters": 0}, {"max_iters": -5},
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": math.nan}, {"tol": math.inf},
+])
+def test_rejects_bad_iteration_setting(method, setting):
+    tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        method(tensor, np.array([0.6, 0.8, 0.0]), **setting)
+
+
+@pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
+def test_single_iteration_is_allowed(method):
+    tensor = noiseless_tensor(4, 3, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
+    method(tensor, np.array([0.6, 0.8, 0.0, 0.0]), max_iters=1)
 
 
 class TestFindCriticalPoints:
@@ -350,14 +388,16 @@ class TestFindCriticalPoints:
             find_critical_points(tensor, n_starts=0)
 
     @pytest.mark.parametrize("setting", [
-        {"newton_tol": 0.0}, {"newton_tol": -1e-10}, {"newton_tol": math.nan},
-        {"newton_tol": math.inf}, {"max_newton_iters": 0},
-        {"dedup_angle": -1e-6}, {"dedup_angle": math.nan},
+        {"n_starts": 0}, {"n_starts": -3}, {"n_starts": 2.5}, {"n_starts": 2.0},
+        {"n_starts": math.nan}, {"n_starts": math.inf}, {"n_starts": None},
     ])
     def test_rejects_bad_search_setting(self, setting):
+        # a start count that is not an integer >= 1 is named in the error,
+        # before any start is drawn
         tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match=next(iter(setting))):
-            find_critical_points(tensor, n_starts=1, **setting)
+            find_critical_points(tensor, **setting)
+
 
 class TestLandscapeHistogram:
     def _record(self, m, f, index):
