@@ -5,7 +5,9 @@ so global structure is extracted numerically: maximize over one landscape
 coordinate at a fixed value of the other (coarse scan plus golden-section
 polish), locate the overlap band where local maxima are exponentially
 numerous (sign-change bisection on the projection), and rasterize the
-nonnegativity region of either complexity over a rectangular grid.
+nonnegativity region of either complexity over a rectangular grid.  The
+band report's high-overlap touch point is the closed-form root
+:func:`tensorlandscape.thresholds.good_location_zero`.
 
 Projections take a scalar or a 1-D array of fixed coordinates and handle
 all of them in one batched pass: the coarse scan is one broadcast over
@@ -13,8 +15,8 @@ all of them in one batched pass: the coarse scan is one broadcast over
 per block so that temporaries stay at a few MB, and the golden-section
 polish advances every bracket of a block together as arrays.  The result
 at each coordinate is bitwise the scalar call's.  ``band_endpoints``
-projects its outward scans in chunks, bisects both band edges together and
-polishes the touch point through the same batched projection.
+projects its outward scans in chunks and bisects both band edges together
+through the same batched projection.
 
 Evaluation is vectorized numpy and therefore deterministic; no randomness
 enters this module.
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import ModelParams, s_star, s_zero
+from .thresholds import good_location_zero
 
 __all__ = [
     "GridSpec",
@@ -55,10 +58,15 @@ _PROJECTION_XTOL = 1e-9
 #: Overlap interval of ``project_max_over_m``.
 _M_SEARCH = (-1.0 + 1e-9, 1.0 - 1e-9)
 
-#: Points of the band search's outward scan over [0, 1 - 1e-7], and how far
-#: below zero a high-overlap maximum may sit and still be the touch point.
+#: Points of the band search's outward scan over [0, 1 - 1e-7].
 _BAND_SCAN_POINTS = 1200
-_TOUCH_TOL = 1e-9
+
+
+def _point_count(v, name: str) -> int:
+    """``v`` as an int, if it is an integer >= 2 (a bool is not)."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -87,10 +95,7 @@ class GridSpec:
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
         for name in ("m_steps", "x_steps"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _point_count(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,8 @@ class BandReport:
     ``m1 <= 0 <= m2`` are the crossing overlaps around the uninformative
     cluster at m = 0 (None if the projection is nonpositive already at 0).
     ``m_star`` is the isolated high-overlap location where the projection
-    climbs back to zero; present only above the critical SNR.
+    climbs back to zero; present iff lam >= lambda_critical(k), and taken
+    from ``good_location_zero`` (the same point for both surfaces).
     """
 
     m1: float | None
@@ -199,6 +205,7 @@ def _project_rows(f, fixed, lo: float, hi: float, coarse: int) -> ProjectionResu
     fixed = np.asarray(fixed, dtype=float)
     if fixed.ndim > 1:
         raise ValueError("the fixed coordinate must be a scalar or a 1-D array")
+    coarse = _point_count(coarse, "coarse")
     rows = fixed.reshape(-1)
     us = np.linspace(lo, hi, coarse)
     args = np.full(rows.shape, math.nan)
@@ -246,7 +253,8 @@ def project_max_over_x(
     The default search interval [-(lam+3), lam+3] always contains the
     maximizer: the optimal x drifts to lam as |m| -> 1 and stays O(1) at
     m = 0.  The value is -inf (and the arg nan) where the complexity is -inf
-    on the whole interval.
+    on the whole interval.  ``coarse``, an integer >= 2, is the number of
+    scan points that seed the golden-section polish.
     """
     if not np.all(np.abs(np.asarray(m, dtype=float)) < 1.0):
         raise ValueError("projection over x requires |m| < 1")
@@ -267,8 +275,8 @@ def project_max_over_m(
 ) -> ProjectionResult:
     """Maximize the chosen complexity over the overlap m at fixed objective value x.
 
-    ``x`` is a scalar or a 1-D array, as for :func:`project_max_over_x`.
-    The search interval is [-1 + 1e-9, 1 - 1e-9].
+    ``x`` is a scalar or a 1-D array and ``coarse`` an integer >= 2, as for
+    :func:`project_max_over_x`.  The search interval is [-1 + 1e-9, 1 - 1e-9].
     """
     fn = _complexity_fn(which)
     return _project_rows(lambda x_, m_: fn(params, m_, x_), x, *_M_SEARCH, coarse)
@@ -325,16 +333,16 @@ def band_endpoints(
 
     Scans the projection outward from m = 0 on both sides and bisects the
     first sign change to ``xtol``; that pair (m1, m2) brackets the band of
-    exponentially numerous uninformative points.  A second, interior local
-    maximum of the projection at high overlap whose value is within 1e-9 of
-    zero is reported as ``m_star`` (the signal-correlated touch point);
-    absent below the critical SNR.
+    exponentially numerous uninformative points.  The signal-correlated
+    touch point ``m_star``, where the projection climbs back to zero at high
+    overlap, is the closed-form root ``good_location_zero(params)`` for
+    either surface: present iff lam >= lambda_critical(k), independent of
+    the centre band.
     """
     def proj(ms: np.ndarray) -> np.ndarray:
         return project_max_over_x(params, ms, which=which).value
 
-    limit = 1.0 - 1e-7
-    ms = np.linspace(0.0, limit, _BAND_SCAN_POINTS)
+    ms = np.linspace(0.0, 1.0 - 1e-7, _BAND_SCAN_POINTS)
 
     # both outward scans advance together, _SCAN_CHUNK points per side per
     # call; a side stops at its first chunk holding a nonpositive value
@@ -355,30 +363,4 @@ def band_endpoints(
     if crossings:
         lo, hi, f_hi = map(np.array, zip(*crossings.values()))
         roots = dict(zip(crossings, _bisect_crossings(proj, lo, hi, f_hi, xtol).tolist()))
-    m2, m1 = roots.get(1.0), roots.get(-1.0)
-
-    # high-overlap touch point: an interior local max of the projection to
-    # the right of the band whose height is ~0.  The bump narrows sharply as
-    # it approaches m = 1 at large SNR, so the scan grid mixes uniform
-    # spacing with log spacing in (1 - m).
-    m_star = None
-    if m2 is not None:
-        lo = min(m2 + (limit - m2) / 600.0, limit)
-        ms = np.unique(
-            np.concatenate(
-                [
-                    np.linspace(lo, limit, 300),
-                    1.0 - np.geomspace(1.0 - limit, 1.0 - lo, 300),
-                ]
-            )
-        )
-        vals = proj(ms)
-        interior = _coarse_maxima(vals[None, :])[0]
-        interior[[0, -1]] = False
-        cand = np.flatnonzero(interior)
-        if cand.size:
-            best = cand[np.argmax(vals[cand])]  # first of equal maxima
-            arg, val = _golden_max(lambda _, u: proj(u), ms[[best - 1]], ms[[best + 1]], 1e-10)
-            if val[0] >= -_TOUCH_TOL:
-                m_star = float(arg[0])
-    return BandReport(m1=m1, m2=m2, m_star=m_star)
+    return BandReport(m1=roots.get(-1.0), m2=roots.get(1.0), m_star=good_location_zero(params))

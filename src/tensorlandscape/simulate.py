@@ -136,13 +136,20 @@ def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray, seed: int) -> 
 
 
 def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
-    """The pure signal lam u^(x)k; the landscape every algorithm should ace."""
+    """The pure signal lam u^(x)k; the landscape every algorithm should ace.
+
+    lam must be finite and > 0: at lam = 0 the tensor is zero and every
+    point of the sphere is critical.
+    """
     if n < 2 or k < 3:
         raise ValueError("need n >= 2 and k >= 3")
+    lam = float(lam)
+    if not math.isfinite(lam) or lam <= 0.0:
+        raise ValueError("lam must be finite and > 0")
     u = _check_unit(u, "u")
     if u.shape[0] != n:
         raise ValueError("u must have length n")
-    return SpikedTensor(n=n, k=k, u=u.copy(), data=float(lam) * _rank_one(u, k))
+    return SpikedTensor(n=n, k=k, u=u.copy(), data=lam * _rank_one(u, k))
 
 
 def _contract(data: np.ndarray, sigma: np.ndarray, times: int) -> np.ndarray:

@@ -129,6 +129,14 @@ class TestThresholds:
         assert good == pytest.approx(0.9905176547, abs=1e-9)
         assert float(table["zero_band_m_star"]) == pytest.approx(good, abs=1e-4)
 
+    def test_touch_rows_agree_at_large_snr(self, capsys):
+        assert run(["thresholds", "--k", 3, "--lambda", 1000]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = dict(line.split(",", 1) for line in lines[1:])
+        touch = {table[name] for name in
+                 ("good_location_zero", "zero_band_m_star", "star_band_m_star")}
+        assert len(touch) == 1 and touch != {"absent"}
+
 
 class TestOracle:
     ARGS = ["oracle", "--k", 3, "--lambda", 0, "--n-list", "3,4,5",
@@ -248,6 +256,16 @@ class TestSimulate:
                     flag, value, "--out", out])
         assert code == 2
         assert flag.split("-")[-1] in capsys.readouterr().err  # "iters" or "tol"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["power", "ascent", "newton"])
+    def test_rejects_zero_noiseless_tensor(self, tmp_path, capsys, method):
+        # every point of the zero tensor is critical
+        out = tmp_path / "s.csv"
+        code = run(["simulate", "--noiseless", "--lambda", 0, "--method", method,
+                    "--n", 5, "--out", out])
+        assert code == 2
+        assert "lam" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):

@@ -12,6 +12,7 @@ from tensorlandscape import (
     band_endpoints,
     good_location_zero,
     grid_centers,
+    lambda_critical,
     project_max_over_m,
     project_max_over_x,
     region_nonnegative,
@@ -82,6 +83,12 @@ class TestProjectOverX:
             project_max_over_x(params, 0.0, "star", x_search=(2.0, -2.0))
         with pytest.raises(ValueError):
             project_max_over_x(params, 1.0, "star")
+
+    @pytest.mark.parametrize("coarse", [1, 0, -3, 2.0, 11.5, True, None])
+    @pytest.mark.parametrize("project", [project_max_over_x, project_max_over_m])
+    def test_rejects_bad_coarse(self, project, coarse):
+        with pytest.raises(ValueError, match="coarse"):
+            project(ModelParams(3, 3.0), 0.1, "star", coarse=coarse)
 
     def test_rejects_unknown_surface(self):
         with pytest.raises(ValueError):
@@ -183,20 +190,38 @@ class TestBandEndpoints:
         assert bs.m1 < bz.m1
 
     def test_touch_point_matches_good_zero(self):
-        params = ModelParams(3, 3.0)
-        band = band_endpoints(params, which="zero")
-        assert band.m_star is not None
-        assert abs(band.m_star - good_location_zero(params)) < 1e-4
+        # the closed-form root is where both projected surfaces climb back
+        # to zero: a local maximum of height 0
+        for k, lam in ((3, 3.0), (4, 1.7), (5, 40.0)):
+            params = ModelParams(k, lam)
+            m = good_location_zero(params)
+            step = 1e-4 * (1.0 - m)
+            for which in ("zero", "star"):
+                assert band_endpoints(params, which=which).m_star == m
+                value = project_max_over_x(params, m, which).value
+                assert abs(value) < 1e-10
+                for near in (m - step, m + step):
+                    assert project_max_over_x(params, near, which).value < value
 
     def test_touch_point_found_at_strong_snr(self):
-        # the high-overlap bump narrows sharply as SNR grows; the search
-        # grid must stay dense near m=1 (regression guard)
-        for lam in (8.0, 32.0):
+        # the high-overlap bump narrows toward m = 1 as the SNR grows
+        for lam in (8.0, 32.0, 1e3, 1e4):
             params = ModelParams(3, lam)
-            band = band_endpoints(params, which="zero")
-            assert band.m1 is not None and band.m2 is not None
+            for which in ("zero", "star"):
+                band = band_endpoints(params, which=which)
+                assert band.m1 is not None and band.m2 is not None
+                assert band.m_star == good_location_zero(params)
+
+    @pytest.mark.parametrize("which", ["zero", "star"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_touch_point_from_critical_snr_on(self, k, which):
+        for rel in (0.0, 1e-9, 1e-6):
+            params = ModelParams(k, lambda_critical(k) * (1.0 + rel))
+            band = band_endpoints(params, which=which)
             assert band.m_star is not None
-            assert abs(band.m_star - good_location_zero(params)) < 1e-4
+            assert band.m_star == good_location_zero(params)
+        below = band_endpoints(ModelParams(k, lambda_critical(k) * (1.0 - 1e-9)), which=which)
+        assert below.m_star is None
 
     def test_no_touch_point_below_critical_snr(self):
         params = ModelParams(3, 0.5)

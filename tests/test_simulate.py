@@ -112,6 +112,11 @@ class TestNoiselessTensor:
         with pytest.raises(ValueError):
             noiseless_tensor(4, 3, 1.0, np.full(4, 0.7))
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_lambda_not_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            noiseless_tensor(4, 3, lam, np.array([1.0, 0.0, 0.0, 0.0]))
+
 
 class TestSphereCalculus:
     def setup_method(self):
