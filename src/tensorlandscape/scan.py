@@ -6,7 +6,8 @@ coordinate at a fixed value of the other (coarse scan plus golden-section
 polish), locate the overlap band where local maxima are exponentially
 numerous (sign-change bisection on the projection), and rasterize the
 nonnegativity region of either complexity over a rectangular grid.  The
-band report's high-overlap touch point is the closed-form root
+band report takes its critical-point band and touch point from the closed
+forms :func:`tensorlandscape.thresholds.s_star_projection` and
 :func:`tensorlandscape.thresholds.good_location_zero`.
 
 Projections take a scalar or a 1-D array of fixed coordinates and handle
@@ -15,8 +16,8 @@ all of them in one batched pass: the coarse scan is one broadcast over
 per block so that temporaries stay at a few MB, and the golden-section
 polish advances every bracket of a block together as arrays.  The result
 at each coordinate is bitwise the scalar call's.  ``band_endpoints``
-projects its outward scans in chunks and bisects both band edges together
-through the same batched projection.
+bisects both local-maximum band edges together through the same batched
+projection, inside the critical-point band.
 
 Evaluation is vectorized numpy and therefore deterministic; no randomness
 enters this module.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import ModelParams, s_star, s_zero
-from .thresholds import good_location_zero
+from .thresholds import good_location_zero, s_star_projection
 
 __all__ = [
     "GridSpec",
@@ -49,16 +50,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: bounds the temporaries of a batched projection at a few MB.
 _BLOCK_CELLS = 1 << 16
 
-#: Points per side that one call of the band scan projects.
-_SCAN_CHUNK = 64
-
 #: Bracket width at which a projection's golden-section polish stops.
 _PROJECTION_XTOL = 1e-9
 
 #: Overlap interval of ``project_max_over_m``.
 _M_SEARCH = (-1.0 + 1e-9, 1.0 - 1e-9)
 
-#: Points of the band search's outward scan over [0, 1 - 1e-7].
+#: Points of the grid over [0, 1 - 1e-7] that brackets the critical-point band edge.
 _BAND_SCAN_POINTS = 1200
 
 
@@ -113,15 +111,15 @@ class ProjectionResult:
 class BandReport:
     """Overlap band where the projected complexity is nonnegative.
 
-    ``m1 <= 0 <= m2`` are the crossing overlaps around the uninformative
-    cluster at m = 0 (None if the projection is nonpositive already at 0).
+    ``m1 < 0 < m2`` are the crossing overlaps around the uninformative
+    cluster at m = 0 (always present: both projections are positive at 0).
     ``m_star`` is the isolated high-overlap location where the projection
     climbs back to zero; present iff lam >= lambda_critical(k), and taken
     from ``good_location_zero`` (the same point for both surfaces).
     """
 
-    m1: float | None
-    m2: float | None
+    m1: float
+    m2: float
     m_star: float | None
 
 
@@ -243,14 +241,13 @@ def project_max_over_x(
     params: ModelParams,
     m,
     which: str = "star",
-    x_search: tuple[float, float] | None = None,
     coarse: int = 401,
 ) -> ProjectionResult:
     """Maximize the chosen complexity over the objective value x at fixed overlap m.
 
     ``m`` is a scalar or a 1-D array; for an array, ``arg`` and ``value`` are
     arrays with one entry per m, each equal to the scalar call at that m.
-    The default search interval [-(lam+3), lam+3] always contains the
+    The search interval [-(lam+3), lam+3] always contains the
     maximizer: the optimal x drifts to lam as |m| -> 1 and stays O(1) at
     m = 0.  The value is -inf (and the arg nan) where the complexity is -inf
     on the whole interval.  ``coarse``, an integer >= 2, is the number of
@@ -259,12 +256,8 @@ def project_max_over_x(
     if not np.all(np.abs(np.asarray(m, dtype=float)) < 1.0):
         raise ValueError("projection over x requires |m| < 1")
     fn = _complexity_fn(which)
-    if x_search is None:
-        x_search = (-(params.lam + 3.0), params.lam + 3.0)
-    lo, hi = map(float, x_search)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError("x_search must be a finite interval (lo, hi) with lo < hi")
-    return _project_rows(lambda m_, x_: fn(params, m_, x_), m, lo, hi, coarse)
+    hi = params.lam + 3.0
+    return _project_rows(lambda m_, x_: fn(params, m_, x_), m, -hi, hi, coarse)
 
 
 def project_max_over_m(
@@ -289,9 +282,12 @@ def region_nonnegative(
 
     tol = 0 is the exact sign region.  A small positive tol widens it enough
     to expose measure-zero features (the complexity touches zero at a single
-    point above the critical SNR, which no finite grid hits exactly).
+    point above the critical SNR, which no finite grid hits exactly).  ``tol``
+    must be finite and >= 0.
     """
     fn = _complexity_fn(which)
+    if not 0.0 <= float(tol) < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     m, x = grid_centers(grid)
     vals = fn(params, m[:, None], x[None, :])
     return np.asarray(vals >= -float(tol))
@@ -301,7 +297,7 @@ def _bisect_crossings(fn, lo, hi, f_hi: np.ndarray, xtol: float) -> np.ndarray:
     """Bisect every bracket with fn(lo) > 0 >= fn(hi) to width ``xtol``, together.
 
     ``fn`` maps an array of points to values.  Brackets may be descending
-    (negative-m scans).  A point where fn is exactly 0 is returned as is.
+    (negative-m edges).  A point where fn is exactly 0 is returned as is.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out = np.where(f_hi == 0.0, hi, math.nan)
@@ -331,36 +327,32 @@ def band_endpoints(
 ) -> BandReport:
     """Locate where the projected complexity max_x S(m, x) changes sign.
 
-    Scans the projection outward from m = 0 on both sides and bisects the
-    first sign change to ``xtol``; that pair (m1, m2) brackets the band of
-    exponentially numerous uninformative points.  The signal-correlated
-    touch point ``m_star``, where the projection climbs back to zero at high
-    overlap, is the closed-form root ``good_location_zero(params)`` for
-    either surface: present iff lam >= lambda_critical(k), independent of
-    the centre band.
+    The star edges m1 = -m2 bound the first sign region of the closed-form,
+    even ``s_star_projection``: a grid bracket bisected to ``xtol`` (finite
+    and > 0).  Since s_zero <= s_star, the zero edges are bisected together
+    inside them, on [0, m1] and [0, m2], through the numeric projection.
+    The touch point ``m_star``, where the projection climbs back to zero at
+    high overlap, is the closed-form root ``good_location_zero(params)`` for
+    either surface: present iff lam >= lambda_critical(k).
     """
+    if not 0.0 < float(xtol) < math.inf:
+        raise ValueError(f"xtol must be finite and > 0, got {xtol!r}")
+
+    def star(ms: np.ndarray) -> np.ndarray:
+        return s_star_projection(params, ms)
+
+    ms = np.linspace(0.0, 1.0 - 1e-7, _BAND_SCAN_POINTS)
+    vals = star(ms)
+    i = np.flatnonzero(vals <= 0.0)[0]  # vals[0] = log(k - 1) / 2 > 0
+    edge = float(_bisect_crossings(star, ms[i - 1 : i], ms[i : i + 1], vals[i : i + 1], xtol)[0])
+    if which == "star":
+        return BandReport(m1=-edge, m2=edge, m_star=good_location_zero(params))
+
     def proj(ms: np.ndarray) -> np.ndarray:
         return project_max_over_x(params, ms, which=which).value
 
-    ms = np.linspace(0.0, 1.0 - 1e-7, _BAND_SCAN_POINTS)
-
-    # both outward scans advance together, _SCAN_CHUNK points per side per
-    # call; a side stops at its first chunk holding a nonpositive value
-    crossings = {}  # side -> (last positive m, first nonpositive m, its value)
-    open_sides = [] if proj(np.zeros(1))[0] <= 0.0 else [1.0, -1.0]
-    for start in range(1, _BAND_SCAN_POINTS, _SCAN_CHUNK):
-        if not open_sides:
-            break
-        block = ms[start : start + _SCAN_CHUNK]
-        vals = proj(np.concatenate([side * block for side in open_sides]))
-        for side, v in zip(list(open_sides), np.split(vals, len(open_sides))):
-            hit = np.flatnonzero(v <= 0.0)
-            if hit.size:
-                i = start + hit[0]
-                crossings[side] = (side * ms[i - 1], side * ms[i], v[hit[0]])
-                open_sides.remove(side)
-    roots = {}
-    if crossings:
-        lo, hi, f_hi = map(np.array, zip(*crossings.values()))
-        roots = dict(zip(crossings, _bisect_crossings(proj, lo, hi, f_hi, xtol).tolist()))
-    return BandReport(m1=roots.get(-1.0), m2=roots.get(1.0), m_star=good_location_zero(params))
+    # in exact arithmetic proj <= star = 0 at the star edges; rounding can
+    # leave it a few ulp above 0 there (k = 4 at lambda_critical)
+    edges = np.array([-edge, edge])
+    m1, m2 = _bisect_crossings(proj, np.zeros(2), edges, np.minimum(proj(edges), 0.0), xtol)
+    return BandReport(m1=float(m1), m2=float(m2), m_star=good_location_zero(params))

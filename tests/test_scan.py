@@ -72,15 +72,13 @@ class TestProjectOverX:
         assert abs(s_zero(params, 0.0, res.arg) - res.value) < 1e-12
 
     def test_all_minus_inf_interval(self):
-        params = ModelParams(3, 1.0)
-        res = project_max_over_x(params, 0.5, "zero", x_search=(-3.0, 0.0))
+        # s_zero is -inf for every m below the cutoff x = sqrt(2(k-1)/k)
+        res = project_max_over_m(ModelParams(3, 1.0), 0.0, "zero")
         assert res.value == -np.inf
         assert math.isnan(res.arg)
 
     def test_rejects_bad_interval(self):
         params = ModelParams(3, 1.0)
-        with pytest.raises(ValueError):
-            project_max_over_x(params, 0.0, "star", x_search=(2.0, -2.0))
         with pytest.raises(ValueError):
             project_max_over_x(params, 1.0, "star")
 
@@ -170,6 +168,12 @@ class TestRegionNonnegative:
         assert loose.sum() > tight.sum()
         assert np.all(loose | ~tight)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        grid = GridSpec(-1.0, 1.0, -3.0, 3.0, 8, 8)
+        with pytest.raises(ValueError, match="tol"):
+            region_nonnegative(ModelParams(3, 1.5), grid, "star", tol=tol)
+
 
 class TestBandEndpoints:
     def test_zero_band_brackets_center(self):
@@ -228,6 +232,39 @@ class TestBandEndpoints:
         band = band_endpoints(params, which="zero")
         assert band.m1 < 0.0 < band.m2  # the center band survives
         assert band.m_star is None
+
+    @pytest.mark.parametrize("xtol", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_xtol(self, xtol):
+        with pytest.raises(ValueError, match="xtol"):
+            band_endpoints(ModelParams(3, 3.0), which="zero", xtol=xtol)
+
+    def test_zero_projection_positive_at_center(self):
+        # the zero-band bisection starts from m = 0, where neither surface
+        # depends on lam
+        for k in range(3, 21):
+            for lam in (0.0, 3.0):
+                assert project_max_over_x(ModelParams(k, lam), 0.0, "zero").value > 0.0
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_zero_band_inside_star_band(self, k):
+        # the zero edges are bisected on [0, star edge]: the zero projection
+        # is positive inside its band and negative from there out to the star
+        # edge, and the closed-form star edge is where the numeric star
+        # projection changes sign
+        for lam in (0.0, 0.5, 1.0, 1.5, 3.0, 8.0, 32.0, 100.0):
+            params = ModelParams(k, lam)
+            zero = band_endpoints(params, which="zero")
+            star = band_endpoints(params, which="star")
+            assert star.m1 == -star.m2
+            inside = np.linspace(zero.m1, zero.m2, 202)[1:-1]
+            assert np.all(project_max_over_x(params, inside, "zero").value > 0.0)
+            for z, s in ((zero.m1, star.m1), (zero.m2, star.m2)):
+                between = np.linspace(z, s, 202)[1:-1]
+                assert np.all(project_max_over_x(params, between, "zero").value < 0.0)
+                side = math.copysign(1.0, s)
+                near = np.array([s - side * 1e-8, s + side * 1e-8])
+                val_in, val_out = project_max_over_x(params, near, "star").value
+                assert val_in > 0.0 >= val_out
 
 
 def _same(a: float, b: float) -> bool:
