@@ -162,7 +162,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--max-iters", type=int, default=None,
                    help="iteration cap, power and ascent only (method-dependent default)")
     s.add_argument("--tol", type=float, default=None,
-                   help="convergence tolerance, power and ascent only (method-dependent default)")
+                   help="stop once the sphere gradient norm is below this, power and "
+                        "ascent only (method-dependent default)")
     s.add_argument("--n-starts", type=int, default=1000,
                    help="multistart count for method=newton")
     s.add_argument("--hist-out", default=None,
@@ -381,6 +382,11 @@ def main(argv=None) -> int:
     return 0
 
 
+#: config-file spellings of a switch, compared case-insensitively
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(sub: argparse.ArgumentParser, command: str, overrides: dict) -> None:
     """Install file-supplied values as defaults of subcommand parser ``sub``.
 
@@ -403,7 +409,9 @@ def _apply_config(sub: argparse.ArgumentParser, command: str, overrides: dict) -
             continue
         action = dests[key]
         if isinstance(action, argparse._StoreTrueAction):
-            defaults[key] = text.lower() in ("1", "true", "yes", "on")
+            if text.lower() not in _SWITCH_WORDS:
+                raise ValueError(f"config key {key}={text!r} not in {list(_SWITCH_WORDS)}")
+            defaults[key] = _SWITCH_WORDS[text.lower()]
         elif action.type is not None:
             defaults[key] = action.type(text)
         else:

@@ -334,6 +334,11 @@ def band_endpoints(
     The touch point ``m_star``, where the projection climbs back to zero at
     high overlap, is the closed-form root ``good_location_zero(params)`` for
     either surface: present iff lam >= lambda_critical(k).
+
+    Conditioning: within about 1e-9 (relative) of lambda_critical(k) the
+    projections touch zero tangentially, and are flat to +-1e-15 over about
+    1e-4 in m around the edges.  There m1 and m2 are set by rounding and are
+    good to only about 5e-5, whatever ``xtol``.
     """
     if not 0.0 < float(xtol) < math.inf:
         raise ValueError(f"xtol must be finite and > 0, got {xtol!r}")

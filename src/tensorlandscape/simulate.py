@@ -11,8 +11,9 @@ complexity formulas of the sibling modules are exact.
 
 Provided tools: Riemannian gradient and Hessian of f on the unit sphere
 (the Hessian in an explicit orthonormal tangent basis, so its eigenvalues
-classify critical points), tensor power iteration, projected gradient ascent
-with backtracking, and a multi-start search that inventories critical points
+classify critical points), tensor power iteration and projected gradient
+ascent with backtracking (one shifted power loop with one stopping rule,
+|grad f| < tol), and a multi-start search that inventories critical points
 with their Morse index by damped (Levenberg-Marquardt) Newton steps on
 |grad f|^2 / 2.
 
@@ -215,104 +216,85 @@ def riemannian_hess(
     return 0.5 * (hess + hess.T)
 
 
-def _check_iteration_settings(max_iters: int, tol: float) -> None:
+def _contract_point(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """w = Y[sigma^(k-1)] and f = w . sigma from one contraction of the tensor."""
+    w = _contract(tensor.data, sigma, tensor.k - 1)
+    if not 0.0 < float(np.linalg.norm(w)) < math.inf:
+        raise DegenerateIterateError("the contraction Y[sigma^(k-1)] is zero or not finite")
+    return w, float(np.tensordot(w, sigma, axes=1))
+
+
+#: the largest ascent step
+_ASCENT_STEP = 0.1
+
+
+def _shifted_power(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int, tol: float,
+                   shifted: bool) -> tuple[np.ndarray, AscentTrace]:
+    """Shifted power iteration sigma <- normalize(w + alpha sigma), w = Y[sigma^(k-1)].
+
+    Power iteration is alpha = 0.  The ascent (``shifted``) starts each step
+    at alpha = max(1/(k h_max), (k-1)|f|) - f, the gradient step of size
+    min(h_max, 1/(k(k-1)|f|)), h_max = _ASCENT_STEP; for f > 0 that is
+    SS-HOPM's shift (k-2) f (Kolda & Mayo 2011, 2014).  A candidate losing
+    more than 1e-12 of f is retried with alpha <- 2 alpha + f, which halves
+    the step; the run ends after 60 tries.  Stops once |grad f| < tol,
+    checked before each step, or after ``max_iters`` steps.
+    """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and > 0")
-
-
-def power_iteration(
-    tensor: SpikedTensor,
-    sigma0: np.ndarray,
-    max_iters: int = 500,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, int]:
-    """Tensor power iteration sigma <- Y[sigma^(k-1)] / |Y[sigma^(k-1)]|.
-
-    Stops when successive iterates are within angular distance ``tol`` and
-    returns (sigma, iterations used); raises DegenerateIterateError on a zero
-    contraction (e.g. a noiseless tensor contracted orthogonally to its
-    spike, whose orthogonal sphere is an invariant set the iteration cannot
-    leave).  ``max_iters`` must be >= 1 and ``tol`` finite and > 0.
-    """
-    _check_iteration_settings(max_iters, tol)
-    sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
-    sigma = sigma / np.linalg.norm(sigma)
-    for it in range(1, max_iters + 1):
-        w = _contract(tensor.data, sigma, tensor.k - 1)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise DegenerateIterateError("power iteration produced a zero contraction")
-        new = w / norm
-        angle = math.acos(min(1.0, max(-1.0, float(np.dot(new, sigma)))))
-        sigma = new
-        if angle < tol:
-            return sigma, it
-    return sigma, max_iters
-
-
-#: the largest ascent step, also the size the working step regrows to
-_ASCENT_STEP = 0.1
-
-
-def gradient_ascent(
-    tensor: SpikedTensor,
-    sigma0: np.ndarray,
-    max_iters: int = 2000,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, AscentTrace]:
-    """Projected gradient ascent with renormalization and backtracking.
-
-    A proposed step is accepted only if it does not decrease f by more than
-    1e-12 (so the recorded trace is monotone up to that tolerance); otherwise
-    the step is halved.  Terminates when the gradient norm drops below
-    ``tol``; running out of iterations is reported via the trace, not raised.
-    Each point is contracted once: w = Y[sigma^(k-1)] gives both f = w . sigma
-    and the gradient.  ``max_iters`` must be >= 1 and ``tol`` finite and > 0.
-    """
-    _check_iteration_settings(max_iters, tol)
     sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
     sigma = sigma / np.linalg.norm(sigma)
     k = tensor.k
-    w = _contract(tensor.data, sigma, k - 1)
-    f_val = float(np.tensordot(w, sigma, axes=1))
+    w, f_val = _contract_point(tensor, sigma)
     trace = [f_val]
-    converged = False
-    current = _ASCENT_STEP
-    for _ in range(max_iters):
-        grad = _sphere_grad(k, w, sigma)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < tol:
-            converged = True
+    while True:
+        grad_norm = float(np.linalg.norm(_sphere_grad(k, w, sigma)))
+        if grad_norm < tol or len(trace) > max_iters:
             break
-        accepted = False
+        alpha = max(1.0 / (k * _ASCENT_STEP), (k - 1) * abs(f_val)) - f_val if shifted else 0.0
         for _ in range(60):
-            cand = sigma + current * grad
-            norm = float(np.linalg.norm(cand))
-            if norm > 0.0:
-                cand = cand / norm
-                w_cand = _contract(tensor.data, cand, k - 1)
-                f_cand = float(np.tensordot(w_cand, cand, axes=1))
-                if f_cand >= f_val - 1e-12:
-                    sigma, w, f_val = cand, w_cand, f_cand
-                    trace.append(f_val)
-                    accepted = True
-                    break
-            current *= 0.5
-        if not accepted:
+            cand = w + alpha * sigma
+            cand /= np.linalg.norm(cand)
+            w_cand, f_cand = _contract_point(tensor, cand)
+            if not shifted or f_cand >= f_val - 1e-12:
+                break
+            alpha = 2.0 * alpha + f_val
+        else:
             break
-        # cautiously regrow the working step so one bad region does not
-        # freeze progress for the rest of the run
-        current = min(current * 1.25, _ASCENT_STEP)
-    grad_norm = float(np.linalg.norm(_sphere_grad(k, w, sigma)))
-    converged = converged or grad_norm < tol
-    return sigma, AscentTrace(
-        f_values=np.asarray(trace),
-        grad_norm=grad_norm,
-        iters=len(trace) - 1,
-        converged=converged,
-    )
+        sigma, w, f_val = cand, w_cand, f_cand
+        trace.append(f_val)
+    return sigma, AscentTrace(np.asarray(trace), grad_norm, len(trace) - 1, grad_norm < tol)
+
+
+def power_iteration(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int = 500,
+                    tol: float = 1e-10) -> tuple[np.ndarray, int]:
+    """Tensor power iteration sigma <- Y[sigma^(k-1)] / |Y[sigma^(k-1)]|.
+
+    Stops once |grad f| < ``tol`` (checked before each step) or after
+    ``max_iters`` steps; returns (sigma, steps taken).  Raises
+    DegenerateIterateError on a zero contraction (e.g. a noiseless tensor
+    contracted orthogonally to its spike, whose orthogonal sphere is an
+    invariant set the iteration cannot leave).  ``max_iters`` must be >= 1
+    and ``tol`` finite and > 0.
+    """
+    sigma, trace = _shifted_power(tensor, sigma0, max_iters, tol, shifted=False)
+    return sigma, trace.iters
+
+
+def gradient_ascent(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int = 2000,
+                    tol: float = 1e-8) -> tuple[np.ndarray, AscentTrace]:
+    """Projected gradient ascent sigma <- normalize(sigma + h grad f), h <= 0.1.
+
+    The step h = min(0.1, 1/(k(k-1)|f|)) is halved while it loses more than
+    1e-12 of f, so the recorded trace is monotone up to that tolerance.
+    Stops once |grad f| < ``tol`` (checked before each step); running out of
+    iterations is reported via the trace, not raised.  One contraction per
+    point gives both f and the gradient.  Raises DegenerateIterateError on a
+    zero contraction.  ``max_iters`` must be >= 1 and ``tol`` finite and > 0.
+    """
+    return _shifted_power(tensor, sigma0, max_iters, tol, shifted=True)
 
 
 #: tangent-Hessian eigenvalues above this count toward the Morse index;

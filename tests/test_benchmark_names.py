@@ -12,6 +12,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +50,22 @@ KEYWORDS = [
 def test_keyword_arguments_bind(module, name, kwargs):
     fn = getattr(importlib.import_module(f"tensorlandscape.{module}"), name)
     inspect.signature(fn).bind_partial(**kwargs)
+
+
+OPTIMIZERS = ["power_iteration", "gradient_ascent"]
+
+
+@pytest.mark.parametrize("called", OPTIMIZERS)
+def test_optimizers_do_not_call_each_other(called, monkeypatch):
+    # the harness counts runs and iterations per public optimizer name, so a
+    # wrapper that called the other public name would be counted twice
+    from tensorlandscape import simulate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{called} called another public optimizer")
+
+    for name in OPTIMIZERS:
+        if name != called:
+            monkeypatch.setattr(simulate, name, forbidden)
+    tensor = simulate.noiseless_tensor(4, 3, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
+    getattr(simulate, called)(tensor, np.array([0.6, 0.8, 0.0, 0.0]), max_iters=5)

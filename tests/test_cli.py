@@ -336,6 +336,28 @@ class TestConfigFile:
         toks = read_lines(out)[1].split(",")
         assert abs(abs(float(toks[5])) - 1.0) < 1e-8  # noiseless power run
 
+    @pytest.mark.parametrize("word, noiseless", [
+        ("TRUE", True), ("Yes", True), ("on", True), ("1", True),
+        ("false", False), ("NO", False), ("Off", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, word, noiseless):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"noiseless = {word}\nlambda = 2\nn = 6\n", encoding="ascii")
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        toks = read_lines(out)[1].split(",")
+        # only the noiseless tensor has f = lambda exactly at the recovered spike
+        assert (abs(float(toks[6]) - 2.0) < 1e-12) == noiseless
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "y"])
+    def test_bad_boolean_is_rejected(self, tmp_path, capsys, word):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"noiseless = {word}\nlambda = 2\nn = 6\n", encoding="ascii")
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "noiseless" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_is_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("samples = 10\n", encoding="ascii")  # oracle-only key

@@ -209,13 +209,6 @@ class TestPowerIteration:
         assert abs(float(sigma @ u)) > 1.0 - 1e-12
         assert iters <= 3
 
-    def test_noiseless_orthogonal_start_degenerates(self):
-        # exactly orthogonal to the spike the contraction is zero
-        u = np.array([1.0, 0.0, 0.0])
-        tensor = noiseless_tensor(3, 3, 1.0, u)
-        with pytest.raises(DegenerateIterateError):
-            power_iteration(tensor, np.array([0.0, 1.0, 0.0]))
-
     def test_strong_snr_recovery_within_small_budget(self):
         n = 30
         rng = np.random.default_rng(900)
@@ -224,6 +217,17 @@ class TestPowerIteration:
         sigma, iters = power_iteration(tensor, unit(rng, n), max_iters=50)
         assert iters < 50
         assert abs(float(sigma @ u)) > 0.8
+
+    def test_stops_below_gradient_tolerance(self):
+        # the tensors and starts of `tensorland simulate --n 12 --lambda 2`,
+        # seeds 0-2: a run that stops early stops on |grad f| < tol
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            u = unit(rng, 12)
+            tensor = make_spiked_tensor(12, 3, 2.0, u, seed=seed)
+            sigma, iters = power_iteration(tensor, unit(rng, 12), tol=1e-10)
+            assert iters < 500
+            assert float(np.linalg.norm(riemannian_grad(tensor, sigma))) < 1e-10
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
@@ -260,6 +264,16 @@ class TestGradientAscent:
         assert trace.converged
         assert trace.f_values[-1] >= 2.0 - 1e-6
 
+    def test_converges_at_strong_snr(self):
+        # the acceptance suite's n = 30, lambda = 2 sqrt(30) tensors and starts
+        n = 30
+        for seed in range(5):
+            rng = np.random.default_rng(seed + 900)
+            u = unit(rng, n)
+            tensor = make_spiked_tensor(n, 3, 2.0 * math.sqrt(n), u, seed=seed)
+            _, trace = gradient_ascent(tensor, unit(rng, n))
+            assert trace.converged and trace.grad_norm < 1e-8
+
     def test_terminals_are_second_order(self):
         # accepted-monotone ascent with halving steps should not stop at a
         # strict saddle
@@ -283,21 +297,6 @@ class TestGradientAscent:
             assert trace.f_values[-1] == objective(tensor, sigma)
             assert trace.grad_norm == float(np.linalg.norm(riemannian_grad(tensor, sigma)))
 
-    def test_contracts_each_point_once(self, monkeypatch):
-        contracted = []
-        original = simulate._contract
-
-        def recording(data, sigma, times):
-            contracted.append(np.asarray(sigma).tobytes())
-            return original(data, sigma, times)
-
-        monkeypatch.setattr(simulate, "_contract", recording)
-        rng = np.random.default_rng(8)
-        tensor = make_spiked_tensor(10, 3, 1.5, unit(rng, 10), seed=4)
-        _, trace = gradient_ascent(tensor, unit(rng, 10), max_iters=300)
-        assert len(contracted) > trace.iters > 1
-        assert len(set(contracted)) == len(contracted)
-
 
 @pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
 @pytest.mark.parametrize("setting", [
@@ -314,6 +313,32 @@ def test_rejects_bad_iteration_setting(method, setting):
 def test_single_iteration_is_allowed(method):
     tensor = noiseless_tensor(4, 3, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
     method(tensor, np.array([0.6, 0.8, 0.0, 0.0]), max_iters=1)
+
+
+@pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
+def test_noiseless_orthogonal_start_degenerates(method):
+    # exactly orthogonal to the spike the contraction is zero
+    tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DegenerateIterateError):
+        method(tensor, np.array([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
+def test_contracts_each_point_once(method, monkeypatch):
+    contracted = []
+    original = simulate._contract
+
+    def recording(data, sigma, times):
+        contracted.append(np.asarray(sigma).tobytes())
+        return original(data, sigma, times)
+
+    monkeypatch.setattr(simulate, "_contract", recording)
+    rng = np.random.default_rng(8)
+    tensor = make_spiked_tensor(10, 3, 1.5, unit(rng, 10), seed=4)
+    _, out = method(tensor, unit(rng, 10), max_iters=300)
+    iters = out if method is power_iteration else out.iters
+    assert len(contracted) > iters > 1
+    assert len(set(contracted)) == len(contracted)
 
 
 class TestFindCriticalPoints:
