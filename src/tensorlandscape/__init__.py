@@ -6,7 +6,6 @@ Carlo, and direct sphere-constrained simulation of the tensor objective.
 """
 
 from .complexity import (
-    MatrixCoords,
     ModelParams,
     j_spherical,
     ldp_rate,
@@ -17,13 +16,10 @@ from .complexity import (
     theta_of_m,
 )
 from .kacrice import (
-    GOEMatrix,
     McEstimate,
     crt_expected,
-    expected_abs_det,
     growth_rate_fit,
     log_count_prefactor,
-    sample_goe,
 )
 from .scan import (
     BandReport,
@@ -71,9 +67,7 @@ __all__ = [
     "BandReport",
     "CriticalPointRecord",
     "DegenerateIterateError",
-    "GOEMatrix",
     "GridSpec",
-    "MatrixCoords",
     "McEstimate",
     "ModelParams",
     "ProjectionResult",
@@ -81,7 +75,6 @@ __all__ = [
     "ThresholdReport",
     "band_endpoints",
     "crt_expected",
-    "expected_abs_det",
     "f_alpha",
     "find_critical_points",
     "good_location_zero",
@@ -110,7 +103,6 @@ __all__ = [
     "s_star_projection",
     "s_u",
     "s_zero",
-    "sample_goe",
     "t_of_x",
     "tangent_basis",
     "theta_of_m",

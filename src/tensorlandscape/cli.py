@@ -88,90 +88,94 @@ def _load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, default=3, help="tensor order (>= 3)")
-    sub.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                     help="signal-to-noise ratio (>= 0)")
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sub.add_argument("--out", default=None, help="output CSV path")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility (>= 1); has no effect, "
-                          "every command runs serially")
-    sub.add_argument("--config", default=None,
-                     help="key=value file of defaults; flags override")
+class _Command:
+    """One subcommand parser and the options added to it, recorded as they
+    are added: ``options`` maps each destination to its argparse action and
+    ``switches`` names the ``store_true`` ones."""
+
+    def __init__(self, subs, name: str, help: str, func) -> None:
+        self.name = name
+        self.parser = subs.add_parser(name, help=help)
+        self.parser.set_defaults(func=func)
+        self.options: dict[str, argparse.Action] = {}
+        self.switches: set[str] = set()
+        # the options every subcommand takes
+        self.add("--k",type=int, default=3, help="tensor order (>= 3)")
+        self.add("--lambda", dest="lam", type=float, default=0.0,
+                 help="signal-to-noise ratio (>= 0)")
+        self.add("--seed", type=int, default=0, help="base RNG seed")
+        self.add("--out", default=None, help="output CSV path")
+        self.add("--threads", type=int, default=1,
+                 help="accepted for compatibility (>= 1); has no effect, "
+                      "every command runs serially")
+        self.add("--config", default=None,
+                 help="key=value file of defaults; flags override")
+
+    def add(self, *flags, **kwargs) -> None:
+        action = self.parser.add_argument(*flags, **kwargs)
+        self.options[action.dest] = action
+        if kwargs.get("action") == "store_true":
+            self.switches.add(action.dest)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand parsers by name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
+    """The top-level parser and its subcommands by name."""
     parser = argparse.ArgumentParser(
         prog="tensorland",
         description="Spiked-tensor landscape complexity toolkit",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    g = subs.add_parser("grid", help="complexity surfaces on an (m, x) grid")
-    _add_common(g)
-    g.add_argument("--m-min", type=float, default=-0.999)
-    g.add_argument("--m-max", type=float, default=0.999)
-    g.add_argument("--m-steps", type=int, default=161)
-    g.add_argument("--x-min", type=float, default=-3.0)
-    g.add_argument("--x-max", type=float, default=3.0)
-    g.add_argument("--x-steps", type=int, default=161)
-    g.set_defaults(func=cmd_grid)
+    g = _Command(subs, "grid", "complexity surfaces on an (m, x) grid", cmd_grid)
+    g.add("--m-min", type=float, default=-0.999)
+    g.add("--m-max", type=float, default=0.999)
+    g.add("--m-steps", type=int, default=161)
+    g.add("--x-min", type=float, default=-3.0)
+    g.add("--x-max", type=float, default=3.0)
+    g.add("--x-steps", type=int, default=161)
 
-    p = subs.add_parser("projection", help="curves maximized over the other axis")
-    _add_common(p)
-    p.add_argument("--axis", choices=("m", "x"), default="m",
-                   help="independent variable of the emitted curve")
-    p.add_argument("--points", type=int, default=201)
-    p.add_argument("--lo", type=float, default=None,
-                   help="lower end of the axis range")
-    p.add_argument("--hi", type=float, default=None,
-                   help="upper end of the axis range")
-    p.set_defaults(func=cmd_projection)
+    p = _Command(subs, "projection", "curves maximized over the other axis", cmd_projection)
+    p.add("--axis", choices=("m", "x"), default="m",
+          help="independent variable of the emitted curve")
+    p.add("--points", type=int, default=201)
+    p.add("--lo", type=float, default=None, help="lower end of the axis range")
+    p.add("--hi", type=float, default=None, help="upper end of the axis range")
 
-    t = subs.add_parser("thresholds", help="critical SNR and band report")
-    _add_common(t)
-    t.set_defaults(func=cmd_thresholds)
+    t = _Command(subs, "thresholds", "critical SNR and band report", cmd_thresholds)
 
-    o = subs.add_parser("oracle", help="finite-n expected-count estimates")
-    _add_common(o)
-    o.add_argument("--n-list", default="10,20,40",
-                   help="comma-separated ascending dimensions (>= 3 values)")
-    o.add_argument("--samples", type=int, default=500,
-                   help="Monte-Carlo samples per estimate")
-    o.add_argument("--which", choices=("star", "zero"), default="star",
-                   help="count all critical points or local maxima only")
-    o.add_argument("--m-min", type=float, default=-0.99)
-    o.add_argument("--m-max", type=float, default=0.99)
-    o.add_argument("--x-min", type=float, default=-3.0)
-    o.add_argument("--x-max", type=float, default=3.0)
-    o.add_argument("--m-steps", type=int, default=60)
-    o.add_argument("--x-steps", type=int, default=60)
-    o.set_defaults(func=cmd_oracle)
+    o = _Command(subs, "oracle", "finite-n expected-count estimates", cmd_oracle)
+    o.add("--n-list", default="10,20,40",
+          help="comma-separated ascending dimensions (>= 3 values)")
+    o.add("--samples", type=int, default=500,
+          help="Monte-Carlo samples per estimate (>= 2)")
+    o.add("--which", choices=("star", "zero"), default="star",
+          help="count all critical points or local maxima only")
+    o.add("--m-min", type=float, default=-0.99)
+    o.add("--m-max", type=float, default=0.99)
+    o.add("--x-min", type=float, default=-3.0)
+    o.add("--x-max", type=float, default=3.0)
+    o.add("--m-steps", type=int, default=60)
+    o.add("--x-steps", type=int, default=60)
 
-    s = subs.add_parser("simulate", help="optimization runs on sampled tensors")
-    _add_common(s)
-    s.add_argument("--n", type=int, default=10, help="ambient dimension")
-    s.add_argument("--seeds", type=int, default=1,
-                   help="number of consecutive seeds starting at --seed")
-    s.add_argument("--method", choices=("power", "ascent", "newton"),
-                   default="power")
-    s.add_argument("--noiseless", action="store_true",
-                   help="use the pure rank-one tensor (no noise)")
-    s.add_argument("--max-iters", type=int, default=None,
-                   help="iteration cap, power and ascent only (method-dependent default)")
-    s.add_argument("--tol", type=float, default=None,
-                   help="stop once the sphere gradient norm is below this, power and "
-                        "ascent only (method-dependent default)")
-    s.add_argument("--n-starts", type=int, default=1000,
-                   help="multistart count for method=newton")
-    s.add_argument("--hist-out", default=None,
-                   help="also emit a 2-D local-maximum histogram CSV")
-    s.add_argument("--hist-bins", type=int, default=20)
-    s.set_defaults(func=cmd_simulate)
+    s = _Command(subs, "simulate", "optimization runs on sampled tensors", cmd_simulate)
+    s.add("--n", type=int, default=10, help="ambient dimension")
+    s.add("--seeds", type=int, default=1,
+          help="number of consecutive seeds starting at --seed")
+    s.add("--method", choices=("power", "ascent", "newton"), default="power")
+    s.add("--noiseless", action="store_true",
+          help="use the pure rank-one tensor (no noise)")
+    s.add("--max-iters", type=int, default=None,
+          help="iteration cap, power and ascent only (method-dependent default)")
+    s.add("--tol", type=float, default=None,
+          help="stop once the sphere gradient norm is below this, power and "
+               "ascent only (method-dependent default)")
+    s.add("--n-starts", type=int, default=1000,
+          help="multistart count for method=newton (>= 1)")
+    s.add("--hist-out", default=None,
+          help="also emit a 2-D local-maximum histogram CSV")
+    s.add("--hist-bins", type=int, default=20)
 
-    return parser, subs.choices
+    return parser, {c.name: c for c in (g, p, t, o, s)}
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +252,8 @@ def cmd_oracle(args) -> None:
         raise ValueError("growth-rate fit needs at least 3 dimensions")
     if sorted(n_list) != n_list:
         raise ValueError("--n-list must be ascending")
+    if args.samples < 2:
+        raise ValueError("--samples must be >= 2")
     lines = ["n,log_expected_count,std_error"]
     points = []
     for n in n_list:
@@ -310,6 +316,8 @@ def cmd_simulate(args) -> None:
         raise ValueError("--hist-out requires --method newton")
     if args.hist_bins < 1:
         raise ValueError("--hist-bins must be >= 1")
+    if args.n_starts < 1:
+        raise ValueError("--n-starts must be >= 1")
     if args.method == "newton" and (args.max_iters is not None or args.tol is not None):
         raise ValueError("--max-iters and --tol do not apply to --method newton")
     ModelParams(args.k, args.lam)  # validate k and lambda
@@ -355,12 +363,12 @@ def main(argv=None) -> int:
     pre.add_argument("--config", default=None)
     known, _rest = pre.parse_known_args(argv)
 
-    parser, subparsers = _build_parser()
+    parser, commands = _build_parser()
     try:
         if known.config is not None:
             overrides = _load_config(known.config)
-            if argv[0] in subparsers:
-                _apply_config(subparsers[argv[0]], argv[0], overrides)
+            if argv[0] in commands:
+                _apply_config(commands[argv[0]], overrides)
         args = parser.parse_args(argv)
         if getattr(args, "out", None) is None and args.command != "thresholds":
             raise ValueError("--out is required (flag or config file)")
@@ -387,28 +395,27 @@ _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(sub: argparse.ArgumentParser, command: str, overrides: dict) -> None:
-    """Install file-supplied values as defaults of subcommand parser ``sub``.
+def _apply_config(command: _Command, overrides: dict) -> None:
+    """Install file-supplied values as defaults of ``command``'s parser.
 
     argparse applies --flag values after defaults, so explicit flags win.
     String defaults are passed through each option's type converter.
     """
-    dests = {a.dest: a for a in sub._actions if a.dest != "help"}
-    unknown = set(overrides) - set(dests) - {"config"}
+    unknown = set(overrides) - set(command.options)
     # accept the flag spelling 'lambda' for the 'lam' destination
-    if "lambda" in unknown and "lam" in dests:
+    if "lambda" in unknown:
         overrides = dict(overrides)
         overrides["lam"] = overrides.pop("lambda")
         unknown.discard("lambda")
     if unknown:
         raise ValueError(
-            f"unknown config keys for '{command}': {', '.join(sorted(unknown))}")
+            f"unknown config keys for '{command.name}': {', '.join(sorted(unknown))}")
     defaults = {}
     for key, text in overrides.items():
         if key == "config":
             continue
-        action = dests[key]
-        if isinstance(action, argparse._StoreTrueAction):
+        action = command.options[key]
+        if key in command.switches:
             if text.lower() not in _SWITCH_WORDS:
                 raise ValueError(f"config key {key}={text!r} not in {list(_SWITCH_WORDS)}")
             defaults[key] = _SWITCH_WORDS[text.lower()]
@@ -419,7 +426,7 @@ def _apply_config(sub: argparse.ArgumentParser, command: str, overrides: dict) -
         if action.choices is not None and defaults[key] not in action.choices:
             raise ValueError(
                 f"config key {key}={text!r} not in {sorted(action.choices)}")
-    sub.set_defaults(**defaults)
+    command.parser.set_defaults(**defaults)
 
 
 if __name__ == "__main__":

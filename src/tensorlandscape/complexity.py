@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "MatrixCoords",
     "phi_star",
     "ldp_rate",
     "theta_of_m",
@@ -66,14 +65,6 @@ class ModelParams:
             raise ValueError(f"signal-to-noise lam must be finite and >= 0, got {self.lam!r}")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "lam", lam)
-
-
-@dataclass(frozen=True)
-class MatrixCoords:
-    """Conditional-Hessian coordinates: rank-one strength ``theta``, spectral shift ``t``."""
-
-    theta: float
-    t: float
 
 
 def _as_finite_array(x, name: str) -> np.ndarray:

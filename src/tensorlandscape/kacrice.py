@@ -41,25 +41,14 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .complexity import MatrixCoords, ModelParams, _s_star_without_phi, t_of_x, theta_of_m
+from .complexity import ModelParams, _s_star_without_phi, t_of_x, theta_of_m
 
 __all__ = [
-    "GOEMatrix",
     "McEstimate",
-    "sample_goe",
-    "expected_abs_det",
     "crt_expected",
     "growth_rate_fit",
     "log_count_prefactor",
 ]
-
-
-@dataclass(frozen=True)
-class GOEMatrix:
-    """A GOE(n) draw: symmetric, off-diagonal variance 1/n, diagonal variance 2/n."""
-
-    n: int
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,14 +71,6 @@ class McEstimate:
             raise ValueError("n_samples must be >= 1")
         if not self.std_error >= 0.0:
             raise ValueError("std_error must be >= 0")
-
-
-def sample_goe(n: int, seed: int) -> GOEMatrix:
-    """Draw one GOE(n) matrix from the given seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a = np.random.default_rng(np.random.SeedSequence(seed)).normal(size=(n, n))
-    return GOEMatrix(n=n, entries=(a + a.T) / math.sqrt(2.0 * n))
 
 
 def _tridiagonal(seed: int, n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,35 +115,6 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
             log_det = np.where((p1 <= 0.0) & (n_positive[s] == 0), log_det, -np.inf)
         log_totals[s] = logsumexp(log_det + log_weight)
     return log_totals
-
-
-def expected_abs_det(
-    n: int,
-    coords: MatrixCoords,
-    n_samples: int = 1000,
-    seed: int = 0,
-    restrict_negative: bool = False,
-    n_threads: int = 1,
-) -> McEstimate:
-    """Monte Carlo E|det(theta e1 e1^T + W_(n-1) - t I)|, optionally on {H <= 0}.
-
-    ``restrict_negative`` inserts the indicator that the matrix is negative
-    semidefinite (its largest eigenvalue at most 0), the local-maximum
-    condition.  ``n_threads`` must be >= 1 and has no effect: identical seeds
-    give bit-identical estimates.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2 (the matrix has dimension n - 1)")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
-    theta, t = np.array([float(coords.theta)]), np.array([float(coords.t)])
-    draws = _tridiagonal(seed, n_samples, n - 1)
-    values = np.exp(_log_totals(draws, theta, t, np.zeros((1, 1)), restrict_negative))
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return McEstimate(mean=mean, std_error=se, n_samples=n_samples)
 
 
 def log_count_prefactor(n: int, k: int) -> float:

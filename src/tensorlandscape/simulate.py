@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -169,25 +170,34 @@ def tangent_basis(sigma: np.ndarray) -> np.ndarray:
     """Orthonormal (n, n-1) completion of sigma from a Householder reflection.
 
     Columns span the tangent space of the sphere at sigma; the construction
-    is deterministic in sigma.
+    is deterministic in sigma.  Leading batch axes are kept: a (B, n) stack
+    of points gives a (B, n, n-1) stack of bases, each row bit for bit the
+    basis of that point alone.
     """
     sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0]
-    sign0 = 1.0 if sigma[0] >= 0.0 else -1.0
+    n = sigma.shape[-1]
     v = sigma.copy()
-    v[0] += sign0
-    v /= np.linalg.norm(v)
+    v[..., 0] += np.where(sigma[..., 0] >= 0.0, 1.0, -1.0)
+    v /= np.sqrt(np.vecdot(v, v))[..., None]
     # columns 2..n of the reflection I - 2 v v^T are orthonormal and
-    # orthogonal to the image of e1, which is -sign0 * sigma
-    basis = -2.0 * np.outer(v, v[1:])
-    basis[np.arange(1, n), np.arange(n - 1)] += 1.0
+    # orthogonal to the image of e1, which is -sign(sigma_0) * sigma
+    basis = -2.0 * (v[..., :, None] * v[..., None, 1:])
+    basis[..., np.arange(1, n), np.arange(n - 1)] += 1.0
     return basis
 
 
 def _sphere_grad(k: int, w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """k P_orth w for the contraction w = Y[sigma^(k-1)]."""
+    """k P_orth w for the contraction w = Y[sigma^(k-1)], over leading batch axes."""
     g = k * w
-    return g - np.dot(g, sigma) * sigma
+    return g - np.vecdot(g, sigma)[..., None] * sigma
+
+
+def _sphere_hess(k: int, flat: np.ndarray, f_val, basis: np.ndarray) -> np.ndarray:
+    """k(k-1) B^T flat B - k f I, symmetrized, for flat = Y[sigma^(k-2)] and
+    f = f(sigma), over leading batch axes."""
+    hess = (k * (k - 1.0) * (np.swapaxes(basis, -1, -2) @ flat @ basis)
+            - k * np.asarray(f_val)[..., None, None] * np.eye(basis.shape[-1]))
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 def riemannian_grad(tensor: SpikedTensor, sigma: np.ndarray) -> np.ndarray:
@@ -207,13 +217,10 @@ def riemannian_hess(
     specific tangent directions (e.g. the spike direction).
     """
     sigma = np.asarray(sigma, dtype=float)
-    k = tensor.k
-    flat = _contract(tensor.data, sigma, k - 2)
-    f_val = float(sigma @ flat @ sigma)
+    flat = _contract(tensor.data, sigma, tensor.k - 2)
     if basis is None:
         basis = tangent_basis(sigma)
-    hess = k * (k - 1.0) * (basis.T @ flat @ basis) - k * f_val * np.eye(basis.shape[1])
-    return 0.5 * (hess + hess.T)
+    return _sphere_hess(tensor.k, flat, float(sigma @ flat @ sigma), basis)
 
 
 def _contract_point(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -305,55 +312,100 @@ INDEX_ZERO_THRESHOLD = 1e-8
 #: has stalled; a rejected step raises it tenfold, an accepted one lowers it.
 #: A start converges once |grad f| < _NEWTON_TOL, within _NEWTON_MAX_ITERS
 #: steps; found points closer than _DEDUP_CHORD in chord distance are merged.
+#: Starts are searched _NEWTON_BLOCK at a time, so memory stays
+#: O(_NEWTON_BLOCK n^(k-1)).
 _DAMPING_START = 1e-3
 _DAMPING_FLOOR = 1e-20
 _DAMPING_CEILING = 1e12
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITERS = 100
 _DEDUP_CHORD = 1e-6
+_NEWTON_BLOCK = 256
 
 
-def _newton_polish(
-    tensor: SpikedTensor, sigma: np.ndarray
-) -> tuple[np.ndarray, float, int] | None:
-    """Drive the sphere gradient to zero from one start; None if it stalls.
+def _contract_rows(data: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y[x^(k-2)] of shape (B, n, n) and Y[x^(k-1)] of shape (B, n) for each
+    row of a (B, n) array x: one matrix product, then k-2 einsum contractions."""
+    n = x.shape[1]
+    out = (data.reshape(-1, n) @ x.T).reshape(data.shape[:-1] + x.shape[:1])
+    for _ in range(data.ndim - 3):
+        out = np.einsum("...jb,bj->...b", out, x)
+    flat = np.moveaxis(out, -1, 0)
+    return flat, np.einsum("bij,bj->bi", flat, x)
 
-    Levenberg-Marquardt on |grad f|^2 / 2: with H = V diag(e) V^T and tangent
-    gradient g, s = -V diag(e / (e^2 + mu)) V^T g solves (H^2 + mu I) s = -H g,
-    a descent step for every mu > 0.  Returns (sigma, |grad f|, steps taken).
+
+def _newton_block(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drive the sphere gradient to zero from each row of a (B, n) block of starts.
+
+    Levenberg-Marquardt on |grad f|^2 / 2, each start with its own damping
+    mu: with H = V diag(e) V^T and tangent gradient g, s = -V diag(e / (e^2
+    + mu)) V^T g solves (H^2 + mu I) s = -H g, a descent step for every
+    mu > 0.  A step is accepted only if it lowers |grad f|; then mu <-
+    max(mu / 10, floor) and the eigensystem is recomputed.  A rejected step
+    retries with mu <- 10 mu; the start fails once mu passes the ceiling or
+    after _NEWTON_MAX_ITERS accepted steps without convergence.  Returns the
+    final points (updated in place) and the accepted steps of each start,
+    -1 for a start that failed.
     """
-    mu = _DAMPING_START
-    grad = riemannian_grad(tensor, sigma)
-    grad_norm = float(np.linalg.norm(grad))
-    for it in range(_NEWTON_MAX_ITERS):
-        if grad_norm < _NEWTON_TOL:
-            return sigma, grad_norm, it
-        basis = tangent_basis(sigma)
-        eig, vec = np.linalg.eigh(riemannian_hess(tensor, sigma, basis=basis))
-        gv = vec.T @ (basis.T @ grad)
-        while True:
-            cand = sigma - basis @ (vec @ (eig / (eig * eig + mu) * gv))
-            cand /= np.linalg.norm(cand)
-            cand_grad = riemannian_grad(tensor, cand)
-            cand_norm = float(np.linalg.norm(cand_grad))
-            if cand_norm < grad_norm:
-                break
-            mu *= 10.0
-            if mu > _DAMPING_CEILING:
-                return None
-        sigma, grad, grad_norm = cand, cand_grad, cand_norm
-        mu = max(mu / 10.0, _DAMPING_FLOOR)
-    return (sigma, grad_norm, _NEWTON_MAX_ITERS) if grad_norm < _NEWTON_TOL else None
+    k, (size, n) = tensor.k, sigma.shape
+    flat, w = _contract_rows(tensor.data, sigma)
+    f_val = np.vecdot(w, sigma)
+    grad = _sphere_grad(k, w, sigma)
+    grad_norm = np.sqrt(np.vecdot(grad, grad))
+    mu = np.full(size, _DAMPING_START)
+    steps = np.zeros(size, dtype=int)
+    active = ~(grad_norm < _NEWTON_TOL)
+    fresh = active.copy()  # starts whose eigensystem is out of date
+    basis = np.empty((size, n, n - 1))
+    eig, vec, gv = np.empty((size, n - 1)), np.empty((size, n - 1, n - 1)), np.empty((size, n - 1))
+    while active.any():
+        if fresh.any():
+            rows = np.flatnonzero(fresh)
+            basis[rows] = tangent_basis(sigma[rows])
+            eig[rows], vec[rows] = np.linalg.eigh(
+                _sphere_hess(k, flat[rows], f_val[rows], basis[rows]))
+            tangent = np.einsum("bji,bj->bi", basis[rows], grad[rows])
+            gv[rows] = np.einsum("bji,bj->bi", vec[rows], tangent)
+        live = np.flatnonzero(active)
+        e = eig[live]
+        coef = np.einsum("bij,bj->bi", vec[live], e / (e * e + mu[live, None]) * gv[live])
+        cand = sigma[live] - np.einsum("bij,bj->bi", basis[live], coef)
+        cand /= np.sqrt(np.vecdot(cand, cand))[:, None]
+        cand_flat, cand_w = _contract_rows(tensor.data, cand)
+        cand_grad = _sphere_grad(k, cand_w, cand)
+        cand_norm = np.sqrt(np.vecdot(cand_grad, cand_grad))
+        better = cand_norm < grad_norm[live]
+        took, rejected = live[better], live[~better]
+        sigma[took], flat[took], grad[took] = cand[better], cand_flat[better], cand_grad[better]
+        f_val[took] = np.vecdot(cand_w[better], cand[better])
+        grad_norm[took] = cand_norm[better]
+        mu[took] = np.maximum(mu[took] / 10.0, _DAMPING_FLOOR)
+        steps[took] += 1
+        mu[rejected] *= 10.0
+        stalled = rejected[mu[rejected] > _DAMPING_CEILING]
+        capped = took[(steps[took] >= _NEWTON_MAX_ITERS) & ~(grad_norm[took] < _NEWTON_TOL)]
+        steps[stalled], steps[capped] = -1, -1
+        active[stalled] = active[capped] = False
+        active[took[grad_norm[took] < _NEWTON_TOL]] = False
+        fresh[:] = False
+        fresh[took] = active[took]
+    return sigma, steps
 
 
 def find_critical_points(
     tensor: SpikedTensor,
     n_starts: int = 1000,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> tuple[list[CriticalPointRecord], int]:
     """Multi-start Newton inventory of critical points.
 
-    Starts are uniform on the sphere.  Converged points are sorted by
+    Starts are uniform on the sphere, drawn from ``seed`` (an int or a
+    sequence of ints, as ``numpy.random.SeedSequence`` takes).  They are
+    searched in blocks of a fixed size, all starts of a block at once, each
+    by its own damped Newton iteration (see ``_newton_block``); the block
+    size moves the points only by rounding.  Each converged point's ``grad_norm``
+    is recomputed with ``riemannian_grad``; a point where that is not below
+    1e-10 counts as a failed start.  Converged points are sorted by
     (overlap, value) and deduplicated at chord distance 1e-6, which also
     keeps them that far apart in angle since the chord is the shorter
     (antipodes are distinct points: for odd k they carry opposite values).
@@ -364,30 +416,35 @@ def find_critical_points(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     found: list[CriticalPointRecord] = []
     failures = 0
-    for _ in range(n_starts):
-        start = rng.normal(size=tensor.n)
-        start /= np.linalg.norm(start)
-        polished = _newton_polish(tensor, start)
-        if polished is None:
-            failures += 1
-            continue
-        sigma, grad_norm, iters = polished
-        eigs = np.linalg.eigvalsh(riemannian_hess(tensor, sigma))
-        found.append(
-            CriticalPointRecord(
-                sigma=sigma,
-                f_value=objective(tensor, sigma),
-                grad_norm=grad_norm,
-                index=int(np.sum(eigs > INDEX_ZERO_THRESHOLD)),
-                m=float(np.dot(sigma, tensor.u)),
-                iters=iters,
+    for first in range(0, n_starts, _NEWTON_BLOCK):
+        starts = rng.normal(size=(min(_NEWTON_BLOCK, n_starts - first), tensor.n))
+        starts /= np.sqrt(np.vecdot(starts, starts))[:, None]
+        points, steps = _newton_block(tensor, starts)
+        for sigma, iters in zip(points, steps.tolist()):
+            grad_norm = (float(np.linalg.norm(riemannian_grad(tensor, sigma))) if iters >= 0
+                         else math.inf)
+            if not grad_norm < _NEWTON_TOL:
+                failures += 1
+                continue
+            eigs = np.linalg.eigvalsh(riemannian_hess(tensor, sigma))
+            found.append(
+                CriticalPointRecord(
+                    sigma=sigma.copy(),
+                    f_value=objective(tensor, sigma),
+                    grad_norm=grad_norm,
+                    index=int(np.sum(eigs > INDEX_ZERO_THRESHOLD)),
+                    m=float(np.dot(sigma, tensor.u)),
+                    iters=iters,
+                )
             )
-        )
     found.sort(key=lambda r: (r.m, r.f_value))
     records: list[CriticalPointRecord] = []
+    kept = np.empty((0, tensor.n))
     for rec in found:
-        if all(np.linalg.norm(rec.sigma - kept.sigma) >= _DEDUP_CHORD for kept in records):
+        gap = kept - rec.sigma
+        if np.all(np.sqrt(np.vecdot(gap, gap)) >= _DEDUP_CHORD):
             records.append(rec)
+            kept = np.vstack((kept, rec.sigma))
     return records, failures
 
 

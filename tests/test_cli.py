@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorlandscape import ModelParams, project_max_over_x, s_star
+from tensorlandscape import ModelParams, cli, project_max_over_x, s_star
 from tensorlandscape.cli import main
 
 
@@ -21,6 +21,13 @@ def read_lines(path):
 
 def roundtrips(token):
     return "%.17g" % float(token) == token
+
+
+def forbid(monkeypatch, name):
+    """Make ``cli.<name>`` fail the test if the command reaches it."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    monkeypatch.setattr(cli, name, called)
 
 
 class TestGrid:
@@ -170,6 +177,15 @@ class TestOracle:
         assert run(["oracle", "--n-list", "20,10,30", "--out", out]) == 2
         assert run(["oracle", "--n-list", "a,b,c", "--out", out]) == 2
 
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_rejects_too_few_samples_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                      samples):
+        forbid(monkeypatch, "crt_expected")
+        out = tmp_path / "o.csv"
+        assert run(self.ARGS + ["--samples", samples, "--out", out]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_grid_steps_below_one(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         for flag, steps in (("--m-steps", 0), ("--m-steps", -3), ("--x-steps", 0)):
@@ -243,6 +259,17 @@ class TestSimulate:
                     "--hist-bins", 0, "--hist-out", hist, "--out", out])
         assert code == 2
         assert not out.exists() and not hist.exists()
+
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_rejects_bad_start_count_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                    n_starts):
+        forbid(monkeypatch, "_draw_tensor")
+        out = tmp_path / "s.csv"
+        code = run(["simulate", "--method", "newton", "--n", 4, "--n-starts", n_starts,
+                    "--out", out])
+        assert code == 2
+        assert "--n-starts" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method, flag, value", [
         ("power", "--max-iters", -5), ("power", "--max-iters", 0),

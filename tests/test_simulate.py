@@ -1,8 +1,9 @@
 """Tests for tensor sampling, sphere calculus, and landscape exploration.
 
 Oracles: finite differences for the gradient and Hessian, exact closed forms
-on the noiseless rank-one landscape, and invariance under rotations of the
-ambient space.
+on the noiseless rank-one landscape, invariance under rotations of the
+ambient space, and a per-start Newton search against which the batched
+multistart search is checked.
 """
 
 import math
@@ -40,6 +41,80 @@ def rotate_tensor(data, q):
 def retract(sigma, v, h):
     cand = sigma + h * v
     return cand / np.linalg.norm(cand)
+
+
+def newton_polish(tensor, sigma):
+    """One start of the Newton search, one start at a time: the reference
+    the batched search in ``simulate`` must reproduce.
+
+    Levenberg-Marquardt on |grad f|^2 / 2: with H = V diag(e) V^T and tangent
+    gradient g, s = -V diag(e / (e^2 + mu)) V^T g solves (H^2 + mu I) s = -H g.
+    Returns (sigma, |grad f|, steps taken), or None if the start stalls.
+    """
+    mu = simulate._DAMPING_START
+    grad = riemannian_grad(tensor, sigma)
+    grad_norm = float(np.linalg.norm(grad))
+    for it in range(simulate._NEWTON_MAX_ITERS):
+        if grad_norm < simulate._NEWTON_TOL:
+            return sigma, grad_norm, it
+        basis = tangent_basis(sigma)
+        eig, vec = np.linalg.eigh(riemannian_hess(tensor, sigma, basis=basis))
+        gv = vec.T @ (basis.T @ grad)
+        while True:
+            cand = sigma - basis @ (vec @ (eig / (eig * eig + mu) * gv))
+            cand /= np.linalg.norm(cand)
+            cand_grad = riemannian_grad(tensor, cand)
+            cand_norm = float(np.linalg.norm(cand_grad))
+            if cand_norm < grad_norm:
+                break
+            mu *= 10.0
+            if mu > simulate._DAMPING_CEILING:
+                return None
+        sigma, grad, grad_norm = cand, cand_grad, cand_norm
+        mu = max(mu / 10.0, simulate._DAMPING_FLOOR)
+    if grad_norm < simulate._NEWTON_TOL:
+        return sigma, grad_norm, simulate._NEWTON_MAX_ITERS
+    return None
+
+
+def reference_search(tensor, n_starts, seed):
+    """``find_critical_points`` with one ``newton_polish`` call per start."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    found, failures = [], 0
+    for _ in range(n_starts):
+        start = rng.normal(size=tensor.n)
+        polished = newton_polish(tensor, start / np.linalg.norm(start))
+        if polished is None:
+            failures += 1
+            continue
+        sigma, grad_norm, iters = polished
+        eigs = np.linalg.eigvalsh(riemannian_hess(tensor, sigma))
+        found.append(CriticalPointRecord(
+            sigma=sigma, f_value=objective(tensor, sigma), grad_norm=grad_norm,
+            index=int(np.sum(eigs > simulate.INDEX_ZERO_THRESHOLD)),
+            m=float(sigma @ tensor.u), iters=iters))
+    found.sort(key=lambda r: (r.m, r.f_value))
+    records = []
+    for rec in found:
+        if all(np.linalg.norm(rec.sigma - kept.sigma) >= simulate._DEDUP_CHORD
+               for kept in records):
+            records.append(rec)
+    return records, failures
+
+
+def cli_tensor(n, lam, seed):
+    """The k = 3 tensor ``tensorland simulate --n n --lambda lam --seed seed`` draws."""
+    u = unit(np.random.default_rng(seed), n)
+    return make_spiked_tensor(n, 3, lam, u, seed=seed)
+
+
+def assert_same_search(got, want):
+    """Same record count, failure count and Morse indices; points within 1e-12."""
+    (records, failures), (ref_records, ref_failures) = got, want
+    assert failures == ref_failures
+    assert [r.index for r in records] == [r.index for r in ref_records]
+    for rec, ref in zip(records, ref_records):
+        np.testing.assert_allclose(rec.sigma, ref.sigma, rtol=0.0, atol=1e-12)
 
 
 class TestMakeSpikedTensor:
@@ -130,6 +205,24 @@ class TestSphereCalculus:
     def test_odd_order_sign_symmetry(self):
         # k = 3: f(-sigma) = -f(sigma) exactly
         assert objective(self.tensor, -self.sigma) == -objective(self.tensor, self.sigma)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_batched_calculus_rows_match_single_calls(self, n):
+        # a stack of points, with first entries of both signs and one zero,
+        # gives per row the basis and gradient projection of that point
+        # alone, bit for bit
+        rng = np.random.default_rng(n)
+        sigma = rng.standard_normal((9, n))
+        sigma[:, 0] = np.abs(sigma[:, 0]) * np.resize([1.0, -1.0], 9)
+        sigma[8, 0] = 0.0
+        sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+        w = rng.standard_normal((9, n))
+        bases = tangent_basis(sigma)
+        grads = simulate._sphere_grad(3, w, sigma)
+        assert bases.shape == (9, n, n - 1)
+        for row in range(9):
+            assert np.array_equal(bases[row], tangent_basis(sigma[row]))
+            assert np.array_equal(grads[row], simulate._sphere_grad(3, w[row], sigma[row]))
 
     def test_tangent_basis_orthonormal(self):
         basis = tangent_basis(self.sigma)
@@ -411,6 +504,22 @@ class TestFindCriticalPoints:
         assert records
         for rec in records:
             assert rec.grad_norm == float(np.linalg.norm(riemannian_grad(tensor, rec.sigma)))
+
+    @pytest.mark.parametrize("n, lam, starts, seeds", [
+        (4, 1.5, 300, [1]),  # the README's newton example, seed 0
+        (5, 1.5, 100, [[0, 0], [0, 1]]),  # the benchmark's inventory tensor 0
+    ], ids=["readme", "inventory"])
+    def test_matches_per_start_reference(self, n, lam, starts, seeds):
+        tensor = cli_tensor(n, lam, 0)
+        for seed in seeds:
+            assert_same_search(find_critical_points(tensor, n_starts=starts, seed=seed),
+                               reference_search(tensor, starts, seed))
+
+    def test_block_size_moves_points_only_by_rounding(self, monkeypatch):
+        tensor = cli_tensor(5, 1.5, 0)
+        default = find_critical_points(tensor, n_starts=100, seed=[0, 0])
+        monkeypatch.setattr(simulate, "_NEWTON_BLOCK", 7)
+        assert_same_search(find_critical_points(tensor, n_starts=100, seed=[0, 0]), default)
 
     def test_rejects_bad_start_count(self):
         tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
