@@ -25,8 +25,13 @@ Design notes:
   costs O(1).  log|det H| is the sum of log|p_i|, and by Sylvester's inertia
   H has as many eigenvalues above 0 as positive pivots: the local-maximum
   restriction 1{H <= 0} keeps a cell when no pivot is positive, so it is at
-  most the unrestricted estimate sample by sample.  Each sample's (m, x)
-  grid is reduced on its own; no (samples, m, x) array is built.
+  most the unrestricted estimate sample by sample.
+* the (m, x) sum factors per x column: exp(weight) is the column's total
+  exp(L_x) times convex shares over m, so a sample's total is
+  sum_x exp(log_tail + L_x) * sum_m share |p_1|.  The inner sum is built one
+  m row at a time with no transcendental per cell, and one ``logsumexp``
+  over x reduces all samples: memory is O(samples x x_steps), and no
+  (samples, m, x) array is built.
 * theta_n and t_n are ``theta_of_m`` and ``t_of_x`` scaled by sqrt(n/(n-1)),
   and the exponential weight is n times the terms of ``s_star`` other than
   ``phi_star``: every formula comes from :mod:`tensorlandscape.complexity`.
@@ -58,6 +63,11 @@ class McEstimate:
     For exponentially large quantities the log-scale fields are the usable
     ones: ``log_mean`` = log of the sample mean, ``log_std_error`` = relative
     standard error, which is the standard error of the log to first order.
+    Two health fields describe the per-sample values r: ``ess_ratio`` =
+    (sum r)^2 / (N sum r^2), the effective sample size over N, in [1/N, 1];
+    ``max_share`` = max r / sum r, the largest single sample's share of the
+    mean, in (0, 1].  Both are None where nothing filled them or every
+    sample is 0.
     """
 
     mean: float
@@ -65,6 +75,8 @@ class McEstimate:
     n_samples: int
     log_mean: float | None = None
     log_std_error: float | None = None
+    ess_ratio: float | None = None
+    max_share: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -104,17 +116,40 @@ def _pivots(a: np.ndarray, b2: np.ndarray, t: np.ndarray):
 def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool) -> np.ndarray:
     """Per draw (a, b2), log sum over the (theta, t) cells of |det(theta e1 e1^T
     + T - t I)| exp(log_weight); ``log_weight`` has shape (len(theta), len(t)).
-    ``restrict_negative`` keeps only cells with no pivot above 0 (H <= 0)."""
+    ``restrict_negative`` keeps only cells with no pivot above 0 (H <= 0).
+
+    Per t column, exp(log_weight) = exp(L) * share with L the column's
+    logsumexp and share convex weights over theta, so a draw's total is
+    sum_t exp(log_tail + L) * sum_theta share |p_1|.  The inner sum is
+    accumulated one theta row at a time over (samples, len(t)) arrays; it is
+    at most max |p_1|, so it cannot overflow.
+    """
     log_tail, n_positive, last = _pivots(*draws, t)
-    log_totals = np.empty(last.shape[0])
-    for s in range(last.shape[0]):
-        p1 = theta[:, None] + last[s]
-        with np.errstate(divide="ignore"):
-            log_det = log_tail[s] + np.log(np.abs(p1))
-        if restrict_negative:
-            log_det = np.where((p1 <= 0.0) & (n_positive[s] == 0), log_det, -np.inf)
-        log_totals[s] = logsumexp(log_det + log_weight)
-    return log_totals
+    log_column = logsumexp(log_weight, axis=0)
+    # an all -inf column has L = -inf: share 0 there, not nan
+    share = np.exp(log_weight - np.where(np.isfinite(log_column), log_column, 0.0))
+    inner, cell = np.zeros((2, *last.shape))
+    for theta_i, share_i in zip(theta, share):
+        np.add(last, theta_i, out=cell)
+        if restrict_negative:  # |p_1| 1{p_1 <= 0}
+            np.maximum(np.negative(cell, out=cell), 0.0, out=cell)
+        else:
+            np.abs(cell, out=cell)
+        cell *= share_i
+        inner += cell
+    if restrict_negative:
+        inner[n_positive != 0.0] = 0.0
+    with np.errstate(divide="ignore"):
+        np.log(inner, out=inner)
+    log_tail += log_column
+    log_tail += inner
+    # logsumexp over t in place: scipy's copies the (samples, len(t)) array
+    # about five times, which would set the peak memory of the estimate
+    top = np.max(log_tail, axis=1, keepdims=True)
+    top[top == -np.inf] = 0.0  # a fully masked draw: exp(-inf) = 0, log 0 = -inf
+    log_tail -= top
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(log_tail, out=log_tail), axis=1)) + top[:, 0]
 
 
 def log_count_prefactor(n: int, k: int) -> float:
@@ -181,6 +216,17 @@ def crt_expected(
     if not x_lo < x_hi:
         raise ValueError("x_interval is empty")
 
+    theta, t, log_weight = _count_grid(params, n, (m_lo, m_hi), (x_lo, x_hi), m_steps, x_steps)
+    draws = _tridiagonal(seed, n_samples, n - 1)
+    log_totals = _log_totals(draws, theta, t, log_weight, which == "zero")
+    log_totals += log_count_prefactor(n, params.k)
+    return _mc_estimate(log_totals)
+
+
+def _count_grid(params: ModelParams, n: int, m_interval, x_interval, m_steps: int, x_steps: int):
+    """Midpoint cells of the (m, x) window as finite-n (theta, t) and the log
+    weight of each cell, shape (m_steps, x_steps)."""
+    (m_lo, m_hi), (x_lo, x_hi) = m_interval, x_interval
     dm, dx = (m_hi - m_lo) / m_steps, (x_hi - x_lo) / x_steps
     m = m_lo + (np.arange(m_steps) + 0.5) * dm
     x = x_lo + (np.arange(x_steps) + 0.5) * dx
@@ -191,25 +237,31 @@ def crt_expected(
         n * _s_star_without_phi(params, m[:, None], x[None, :])
         - 1.5 * np.log((1.0 - m) * (1.0 + m))[:, None]
         + math.log(dm * dx)
-    )  # (m_steps, x_steps)
+    )
+    return theta, t, log_weight
 
-    draws = _tridiagonal(seed, n_samples, n - 1)
-    log_totals = _log_totals(draws, theta, t, log_weight, which == "zero")
-    log_totals += log_count_prefactor(n, params.k)
 
+def _mc_estimate(log_totals: np.ndarray) -> McEstimate:
+    """Mean, standard error and health of the samples exp(log_totals), in log space."""
+    n_samples = log_totals.size
     top = float(np.max(log_totals))
     if top == -math.inf:
         return McEstimate(
             mean=0.0, std_error=0.0, n_samples=n_samples, log_mean=-math.inf, log_std_error=0.0
         )
     r = np.exp(log_totals - top)
-    r_mean = float(np.mean(r))
+    r_sum = float(np.sum(r))
+    r_mean = r_sum / n_samples
     r_se = float(np.std(r, ddof=1) / math.sqrt(n_samples))
     log_mean = top + math.log(r_mean)
     with np.errstate(over="ignore"):
         mean = float(np.exp(log_mean))
         se = float(np.exp(top) * r_se)
-    return McEstimate(mean, se, n_samples, log_mean=log_mean, log_std_error=r_se / r_mean)
+    return McEstimate(
+        mean, se, n_samples, log_mean=log_mean, log_std_error=r_se / r_mean,
+        ess_ratio=r_sum * r_sum / (n_samples * float(np.sum(r * r))),
+        max_share=1.0 / r_sum,  # the largest r is exp(0)
+    )
 
 
 def growth_rate_fit(estimates: Sequence[tuple[int, float]]) -> float:

@@ -408,13 +408,14 @@ def find_critical_points(
     1e-10 counts as a failed start.  Converged points are sorted by
     (overlap, value) and deduplicated at chord distance 1e-6, which also
     keeps them that far apart in angle since the chord is the shorter
-    (antipodes are distinct points: for odd k they carry opposite values).
+    (antipodes are distinct points: for odd k they carry opposite values);
+    the Morse index is computed for the kept points only.
     Returns (records, number of non-convergent starts).
     """
     if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
         raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    found: list[CriticalPointRecord] = []
+    found = []  # (m, f_value, sigma, grad_norm, iters) per converged start
     failures = 0
     for first in range(0, n_starts, _NEWTON_BLOCK):
         starts = rng.normal(size=(min(_NEWTON_BLOCK, n_starts - first), tensor.n))
@@ -426,25 +427,20 @@ def find_critical_points(
             if not grad_norm < _NEWTON_TOL:
                 failures += 1
                 continue
-            eigs = np.linalg.eigvalsh(riemannian_hess(tensor, sigma))
-            found.append(
-                CriticalPointRecord(
-                    sigma=sigma.copy(),
-                    f_value=objective(tensor, sigma),
-                    grad_norm=grad_norm,
-                    index=int(np.sum(eigs > INDEX_ZERO_THRESHOLD)),
-                    m=float(np.dot(sigma, tensor.u)),
-                    iters=iters,
-                )
-            )
-    found.sort(key=lambda r: (r.m, r.f_value))
+            found.append((float(np.dot(sigma, tensor.u)), objective(tensor, sigma),
+                          sigma, grad_norm, iters))
+    found.sort(key=lambda point: point[:2])
     records: list[CriticalPointRecord] = []
     kept = np.empty((0, tensor.n))
-    for rec in found:
-        gap = kept - rec.sigma
+    for m, f_value, sigma, grad_norm, iters in found:
+        gap = kept - sigma
         if np.all(np.sqrt(np.vecdot(gap, gap)) >= _DEDUP_CHORD):
-            records.append(rec)
-            kept = np.vstack((kept, rec.sigma))
+            eigs = np.linalg.eigvalsh(riemannian_hess(tensor, sigma))
+            records.append(CriticalPointRecord(
+                sigma=sigma.copy(), f_value=f_value, grad_norm=grad_norm,
+                index=int(np.sum(eigs > INDEX_ZERO_THRESHOLD)), m=m, iters=iters,
+            ))
+            kept = np.vstack((kept, sigma))
     return records, failures
 
 

@@ -163,6 +163,14 @@ class TestOracle:
         assert lines[4].startswith("# growth_rate,")
         assert capsys.readouterr().out.startswith("growth rate: ")
 
+    def test_estimate_health_adds_no_column(self, tmp_path):
+        # McEstimate's ess_ratio and max_share stay off the CSV
+        out = tmp_path / "oracle.csv"
+        assert run(self.ARGS + ["--out", out]) == 0
+        lines = read_lines(out)
+        assert lines[0] == "n,log_expected_count,std_error"
+        assert [len(line.split(",")) for line in lines[1:4]] == [3, 3, 3]
+
     def test_byte_determinism_across_threads_and_reruns(self, tmp_path):
         outs = []
         for name, threads in (("a", 1), ("b", 3), ("c", 1)):

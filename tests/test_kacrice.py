@@ -9,7 +9,8 @@ cell, divided by n, is checked to approach the closed-form surfaces.
 
 ``expected_abs_det`` below is ``crt_expected``'s one-cell case without the
 weight, and ``sample_goe`` the dense GOE reference; both exist only to test
-the library's kernel.
+the library's kernel.  ``log_totals_per_sample`` is the direct reduction of
+each sample's (m, x) grid that ``_log_totals`` factors per x column.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from tensorlandscape import (
@@ -27,7 +29,13 @@ from tensorlandscape import (
     log_count_prefactor,
 )
 from tensorlandscape.complexity import phi_star, s_star, s_zero, t_of_x, theta_of_m
-from tensorlandscape.kacrice import _log_totals, _pivots, _tridiagonal
+from tensorlandscape.kacrice import (
+    _count_grid,
+    _log_totals,
+    _mc_estimate,
+    _pivots,
+    _tridiagonal,
+)
 from tensorlandscape.simulate import find_critical_points, make_spiked_tensor
 
 
@@ -82,6 +90,21 @@ def expected_abs_det(
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return McEstimate(mean=mean, std_error=se, n_samples=n_samples)
+
+
+def log_totals_per_sample(draws, theta, t, log_weight, restrict_negative):
+    """``_log_totals`` cell by cell: one logsumexp over each sample's whole
+    (theta, t) grid of log|p_1| + log_tail + log_weight."""
+    log_tail, n_positive, last = _pivots(*draws, t)
+    log_totals = np.empty(last.shape[0])
+    for s in range(last.shape[0]):
+        p1 = theta[:, None] + last[s]
+        with np.errstate(divide="ignore"):
+            log_det = log_tail[s] + np.log(np.abs(p1))
+        if restrict_negative:
+            log_det = np.where((p1 <= 0.0) & (n_positive[s] == 0), log_det, -np.inf)
+        log_totals[s] = logsumexp(log_det + log_weight)
+    return log_totals
 
 
 def folded_normal_mean(mu, sigma):
@@ -173,6 +196,69 @@ class TestPivotKernel:
         est = expected_abs_det(6, MatrixCoords(theta=theta, t=t), n_samples=samples,
                                seed=17, restrict_negative=restrict)
         assert abs(est.mean - values.mean()) < 4.0 * math.hypot(est.std_error, dense_se)
+
+
+class TestLogTotals:
+    """The per-column reduction against the per-sample grid reduction."""
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    @pytest.mark.parametrize("n", [3, 6, 40, 160])
+    @pytest.mark.parametrize("window, steps", [
+        (((-0.99, 0.99), (-3.0, 3.0)), 60), (((0.2, 0.4), (1.4, 1.6)), 1),
+    ])
+    def test_matches_per_sample_reduction(self, restrict, lam, n, window, steps):
+        theta, t, log_weight = _count_grid(ModelParams(3, lam), n, *window, steps, steps)
+        draws = _tridiagonal(8, 100, n - 1)
+        got = _log_totals(draws, theta, t, log_weight, restrict)
+        want = log_totals_per_sample(draws, theta, t, log_weight, restrict)
+        assert np.isfinite(want).any()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_zero_second_pivot_does_not_overflow(self, restrict):
+        # p_3 = 0.5 and p_2 = a_2 - t - b_2^2 / p_3 = 0 exactly: floored at
+        # -pivmin, it leaves last = a_1 - t + b_1^2 / pivmin = 1 / tiny
+        a, b2 = np.array([[0.7, 0.75, 0.75]]), np.array([[4.0, 0.25]])
+        theta, t = np.linspace(-3.0, 3.0, 60), np.array([0.25, -0.5, 1.0])
+        log_weight = np.linspace(-5.0, 5.0, 180).reshape(60, 3)
+        with np.errstate(over="raise", invalid="raise"):
+            _, _, last = _pivots(a, b2, t)
+            got = _log_totals((a, b2), theta, t, log_weight, restrict)
+        assert last[0, 0] == pytest.approx(1.0 / np.finfo(float).tiny, rel=1e-15)
+        want = log_totals_per_sample((a, b2), theta, t, log_weight, restrict)
+        # the floor is negative, so last is huge and positive: p_1 > 0 masks
+        # every cell of the restricted total
+        assert np.all(got == -np.inf) if restrict else np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_fully_masked_sample_is_minus_infinity(self):
+        # every shift below the spectrum: all pivots positive, no local maximum
+        draws = _tridiagonal(2, 5, 5)
+        theta, t = np.array([-1.0, 0.0, 1.0]), np.array([-20.0, -15.0])
+        got = _log_totals(draws, theta, t, np.zeros((3, 2)), True)
+        assert np.all(got == -np.inf)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_empty_weight_column_adds_nothing(self, restrict):
+        theta, t, log_weight = _count_grid(ModelParams(3, 1.5), 6, (-0.99, 0.99),
+                                          (-3.0, 3.0), 20, 20)
+        draws = _tridiagonal(4, 50, 5)
+        log_weight[:, 7] = -np.inf
+        with np.errstate(invalid="raise"):
+            got = _log_totals(draws, theta, t, log_weight, restrict)
+        keep = np.arange(t.size) != 7
+        without = _log_totals(draws, theta, t[keep], log_weight[:, keep], restrict)
+        np.testing.assert_allclose(got, without, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_rows_are_independent(self, restrict):
+        theta, t, log_weight = _count_grid(ModelParams(3, 1.5), 12, (-0.99, 0.99),
+                                          (-3.0, 3.0), 30, 40)
+        a, b2 = _tridiagonal(6, 40, 11)
+        full = _log_totals((a, b2), theta, t, log_weight, restrict)
+        part = _log_totals((a[9:17], b2[9:17]), theta, t, log_weight, restrict)
+        np.testing.assert_array_equal(part, full[9:17])
 
 
 class TestSampleGoe:
@@ -286,6 +372,33 @@ class TestExpectedAbsDet:
         for threads in (0, -4):
             with pytest.raises(ValueError):
                 expected_abs_det(4, coords, n_samples=2, n_threads=threads)
+
+
+class TestMcHealth:
+    def test_equal_samples(self):
+        est = _mc_estimate(np.full(8, 3.5))
+        assert est.ess_ratio == 1.0
+        assert est.max_share == 1.0 / 8.0
+
+    def test_uneven_samples(self):
+        # values 1, 1, 2, 0: (sum)^2 / (N sum of squares) = 16 / (4 * 6)
+        est = _mc_estimate(np.array([0.0, 0.0, math.log(2.0), -np.inf]) + 30.0)
+        assert est.ess_ratio == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert est.max_share == pytest.approx(0.5, rel=1e-15)
+
+    def test_bounds_on_a_real_estimate(self):
+        est = crt_expected(ModelParams(3, 0.0), 40, n_samples=200, seed=1, which="zero")
+        assert 1.0 / 200 <= est.ess_ratio <= 1.0
+        # the largest sample carries at least the mean's share of the total
+        assert 1.0 / 200 <= est.max_share <= 1.0
+
+    def test_all_zero_samples_leave_health_unset(self):
+        est = _mc_estimate(np.full(4, -np.inf))
+        assert est.mean == 0.0 and est.ess_ratio is None and est.max_share is None
+
+    def test_defaults_keep_the_plain_constructor(self):
+        est = McEstimate(mean=1.0, std_error=0.1, n_samples=10)
+        assert est.ess_ratio is None and est.max_share is None
 
 
 class TestLogCountPrefactor:
