@@ -323,13 +323,13 @@ def cmd_simulate(args) -> None:
     ModelParams(args.k, args.lam)  # validate k and lambda
     header = "seed,n,k,lambda,method,m_final,f_final,grad_norm,index,iters"
     lines = [header]
-    maxima = []
+    found = []
     for seed in range(args.seed, args.seed + args.seeds):
         if args.method == "newton":
             _rng, _u, tensor = _draw_tensor(args, seed)
             records, _failures = find_critical_points(
                 tensor, n_starts=args.n_starts, seed=seed + 1)
-            maxima.extend(r for r in records if r.index == 0)
+            found.extend(records)
             for r in records:
                 lines.append(",".join((
                     str(seed), str(args.n), str(args.k), _fmt(args.lam),
@@ -342,8 +342,11 @@ def cmd_simulate(args) -> None:
                 for v in row))
     _write_lines(args.out, lines)
     if args.hist_out is not None:
+        # the value axis spans the maxima; with none, all records give its
+        # range and the histogram is all zero
+        maxima = [r for r in found if r.index == 0]
         counts, m_edges, f_edges = landscape_histogram(
-            maxima, m_bins=args.hist_bins, f_bins=args.hist_bins)
+            maxima or found, m_bins=args.hist_bins, f_bins=args.hist_bins)
         hlines = ["m_left,m_right,f_left,f_right,count"]
         for i in range(counts.shape[0]):
             for j in range(counts.shape[1]):

@@ -198,14 +198,12 @@ def crt_expected(
     scales of interest.  ``n_threads`` must be >= 1 and has no effect:
     identical seeds give bit-identical estimates.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    for name, value, low in (("n", n, 3), ("n_samples", n_samples, 2),
+                             ("m_steps", m_steps, 1), ("x_steps", x_steps, 1)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+            raise ValueError(f"{name} must be >= {low} and an integer (not a bool), got {value!r}")
     if which not in ("star", "zero"):
         raise ValueError(f"which must be 'star' or 'zero', got {which!r}")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    if m_steps < 1 or x_steps < 1:
-        raise ValueError("m_steps and x_steps must be >= 1")
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
     m_lo = max(float(m_interval[0]), -_M_CLIP)

@@ -15,7 +15,10 @@ classify critical points), tensor power iteration and projected gradient
 ascent with backtracking (one shifted power loop with one stopping rule,
 |grad f| < tol), and a multi-start search that inventories critical points
 with their Morse index by damped (Levenberg-Marquardt) Newton steps on
-|grad f|^2 / 2.
+|grad f|^2 / 2.  All of them contract the tensor with one kernel,
+``_contract_rows``, which takes a (B, n) stack of points (a single point is
+a stack of one) and gives Y[x^(k-2)], Y[x^(k-1)], f and the sphere gradient
+for each row.
 
 Dense storage keeps the code transparent; it is meant for desk-scale
 dimensions (n^k memory), not production tensor decomposition.
@@ -94,7 +97,7 @@ def _check_unit(v: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a vector")
-    if abs(float(np.linalg.norm(v)) - 1.0) > tol:
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= tol:  # NaN fails too
         raise ValueError(f"{name} must have unit norm (within {tol})")
     return v
 
@@ -154,16 +157,24 @@ def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
     return SpikedTensor(n=n, k=k, u=u.copy(), data=lam * _rank_one(u, k))
 
 
-def _contract(data: np.ndarray, sigma: np.ndarray, times: int) -> np.ndarray:
-    out = data
-    for _ in range(times):
-        out = np.tensordot(out, sigma, axes=1)
-    return out
+def _contract_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each row of a (B, n) array x: Y[x^(k-2)] of shape (B, n, n),
+    w = Y[x^(k-1)] of shape (B, n), f = w . x of shape (B,) and the sphere
+    gradient of shape (B, n), from one matrix product and k-2 einsum
+    contractions.  A row of a stack is not bit for bit that row contracted
+    alone, so single points go in as (1, n) stacks."""
+    data, n = tensor.data, tensor.data.shape[-1]
+    out = (data.reshape(-1, n) @ x.T).reshape(data.shape[:-1] + x.shape[:1])
+    for _ in range(data.ndim - 3):
+        out = np.einsum("...jb,bj->...b", out, x)
+    flat = np.moveaxis(out, -1, 0)
+    w = np.einsum("bij,bj->bi", flat, x)
+    return flat, w, np.vecdot(w, x), _sphere_grad(tensor.k, w, x)
 
 
 def objective(tensor: SpikedTensor, sigma: np.ndarray) -> float:
     """f(sigma) = <Y, sigma^(x)k> for unit sigma."""
-    return float(_contract(tensor.data, np.asarray(sigma, dtype=float), tensor.k))
+    return float(_contract_rows(tensor, np.asarray(sigma, dtype=float)[None])[2][0])
 
 
 def tangent_basis(sigma: np.ndarray) -> np.ndarray:
@@ -202,8 +213,7 @@ def _sphere_hess(k: int, flat: np.ndarray, f_val, basis: np.ndarray) -> np.ndarr
 
 def riemannian_grad(tensor: SpikedTensor, sigma: np.ndarray) -> np.ndarray:
     """Sphere gradient of f at unit sigma: k P_orth Y[sigma^(k-1)], an n-vector."""
-    sigma = np.asarray(sigma, dtype=float)
-    return _sphere_grad(tensor.k, _contract(tensor.data, sigma, tensor.k - 1), sigma)
+    return _contract_rows(tensor, np.asarray(sigma, dtype=float)[None])[3][0]
 
 
 def riemannian_hess(
@@ -217,18 +227,19 @@ def riemannian_hess(
     specific tangent directions (e.g. the spike direction).
     """
     sigma = np.asarray(sigma, dtype=float)
-    flat = _contract(tensor.data, sigma, tensor.k - 2)
+    flat, _, f_val, _ = _contract_rows(tensor, sigma[None])
     if basis is None:
         basis = tangent_basis(sigma)
-    return _sphere_hess(tensor.k, flat, float(sigma @ flat @ sigma), basis)
+    return _sphere_hess(tensor.k, flat[0], f_val[0], basis)
 
 
-def _contract_point(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    """w = Y[sigma^(k-1)] and f = w . sigma from one contraction of the tensor."""
-    w = _contract(tensor.data, sigma, tensor.k - 1)
+def _at_point(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """w = Y[sigma^(k-1)], f and the sphere gradient at one point, from one
+    contraction of the tensor; a zero or non-finite w is an error."""
+    _, w, f_val, grad = _contract_rows(tensor, sigma[None])
     if not 0.0 < float(np.linalg.norm(w)) < math.inf:
         raise DegenerateIterateError("the contraction Y[sigma^(k-1)] is zero or not finite")
-    return w, float(np.tensordot(w, sigma, axes=1))
+    return w[0], float(f_val[0]), grad[0]
 
 
 #: the largest ascent step
@@ -254,23 +265,23 @@ def _shifted_power(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int, tol
     sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
     sigma = sigma / np.linalg.norm(sigma)
     k = tensor.k
-    w, f_val = _contract_point(tensor, sigma)
+    w, f_val, grad = _at_point(tensor, sigma)
     trace = [f_val]
     while True:
-        grad_norm = float(np.linalg.norm(_sphere_grad(k, w, sigma)))
+        grad_norm = float(np.linalg.norm(grad))
         if grad_norm < tol or len(trace) > max_iters:
             break
         alpha = max(1.0 / (k * _ASCENT_STEP), (k - 1) * abs(f_val)) - f_val if shifted else 0.0
         for _ in range(60):
             cand = w + alpha * sigma
             cand /= np.linalg.norm(cand)
-            w_cand, f_cand = _contract_point(tensor, cand)
+            w_cand, f_cand, grad_cand = _at_point(tensor, cand)
             if not shifted or f_cand >= f_val - 1e-12:
                 break
             alpha = 2.0 * alpha + f_val
         else:
             break
-        sigma, w, f_val = cand, w_cand, f_cand
+        sigma, w, f_val, grad = cand, w_cand, f_cand, grad_cand
         trace.append(f_val)
     return sigma, AscentTrace(np.asarray(trace), grad_norm, len(trace) - 1, grad_norm < tol)
 
@@ -323,17 +334,6 @@ _DEDUP_CHORD = 1e-6
 _NEWTON_BLOCK = 256
 
 
-def _contract_rows(data: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Y[x^(k-2)] of shape (B, n, n) and Y[x^(k-1)] of shape (B, n) for each
-    row of a (B, n) array x: one matrix product, then k-2 einsum contractions."""
-    n = x.shape[1]
-    out = (data.reshape(-1, n) @ x.T).reshape(data.shape[:-1] + x.shape[:1])
-    for _ in range(data.ndim - 3):
-        out = np.einsum("...jb,bj->...b", out, x)
-    flat = np.moveaxis(out, -1, 0)
-    return flat, np.einsum("bij,bj->bi", flat, x)
-
-
 def _newton_block(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drive the sphere gradient to zero from each row of a (B, n) block of starts.
 
@@ -348,9 +348,7 @@ def _newton_block(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, 
     -1 for a start that failed.
     """
     k, (size, n) = tensor.k, sigma.shape
-    flat, w = _contract_rows(tensor.data, sigma)
-    f_val = np.vecdot(w, sigma)
-    grad = _sphere_grad(k, w, sigma)
+    flat, _, f_val, grad = _contract_rows(tensor, sigma)
     grad_norm = np.sqrt(np.vecdot(grad, grad))
     mu = np.full(size, _DAMPING_START)
     steps = np.zeros(size, dtype=int)
@@ -371,13 +369,12 @@ def _newton_block(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, 
         coef = np.einsum("bij,bj->bi", vec[live], e / (e * e + mu[live, None]) * gv[live])
         cand = sigma[live] - np.einsum("bij,bj->bi", basis[live], coef)
         cand /= np.sqrt(np.vecdot(cand, cand))[:, None]
-        cand_flat, cand_w = _contract_rows(tensor.data, cand)
-        cand_grad = _sphere_grad(k, cand_w, cand)
+        cand_flat, _, cand_f, cand_grad = _contract_rows(tensor, cand)
         cand_norm = np.sqrt(np.vecdot(cand_grad, cand_grad))
         better = cand_norm < grad_norm[live]
         took, rejected = live[better], live[~better]
         sigma[took], flat[took], grad[took] = cand[better], cand_flat[better], cand_grad[better]
-        f_val[took] = np.vecdot(cand_w[better], cand[better])
+        f_val[took] = cand_f[better]
         grad_norm[took] = cand_norm[better]
         mu[took] = np.maximum(mu[took] / 10.0, _DAMPING_FLOOR)
         steps[took] += 1
@@ -403,45 +400,46 @@ def find_critical_points(
     sequence of ints, as ``numpy.random.SeedSequence`` takes).  They are
     searched in blocks of a fixed size, all starts of a block at once, each
     by its own damped Newton iteration (see ``_newton_block``); the block
-    size moves the points only by rounding.  Each converged point's ``grad_norm``
-    is recomputed with ``riemannian_grad``; a point where that is not below
-    1e-10 counts as a failed start.  Converged points are sorted by
-    (overlap, value) and deduplicated at chord distance 1e-6, which also
-    keeps them that far apart in angle since the chord is the shorter
-    (antipodes are distinct points: for odd k they carry opposite values);
-    the Morse index is computed for the kept points only.
+    size moves the points only by rounding.  Each converged point is
+    contracted once more on its own, which gives its ``grad_norm`` and
+    ``f_value`` bit for bit as ``riemannian_grad`` and ``objective`` would; a
+    point whose norm is not below 1e-10 counts as a failed start.  Converged
+    points are sorted by (overlap, value) and deduplicated at chord distance
+    1e-6, which also keeps them that far apart in angle since the chord is
+    the shorter (antipodes are distinct points: for odd k they carry opposite
+    values); the Morse indices of the kept points come from one stacked
+    tangent Hessian, built from that same contraction.
     Returns (records, number of non-convergent starts).
     """
     if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
         raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    found = []  # (m, f_value, sigma, grad_norm, iters) per converged start
-    failures = 0
+    found = []  # (m, f_value, sigma, grad_norm, iters, Y[sigma^(k-2)]) per converged start
     for first in range(0, n_starts, _NEWTON_BLOCK):
         starts = rng.normal(size=(min(_NEWTON_BLOCK, n_starts - first), tensor.n))
         starts /= np.sqrt(np.vecdot(starts, starts))[:, None]
         points, steps = _newton_block(tensor, starts)
-        for sigma, iters in zip(points, steps.tolist()):
-            grad_norm = (float(np.linalg.norm(riemannian_grad(tensor, sigma))) if iters >= 0
-                         else math.inf)
-            if not grad_norm < _NEWTON_TOL:
-                failures += 1
-                continue
-            found.append((float(np.dot(sigma, tensor.u)), objective(tensor, sigma),
-                          sigma, grad_norm, iters))
+        for sigma, iters in zip(points[steps >= 0], steps[steps >= 0].tolist()):
+            flat, _, f_val, grad = _contract_rows(tensor, sigma[None])
+            grad_norm = float(np.linalg.norm(grad[0]))
+            if grad_norm < _NEWTON_TOL:
+                found.append((float(np.dot(sigma, tensor.u)), float(f_val[0]),
+                              sigma, grad_norm, iters, flat[0]))
     found.sort(key=lambda point: point[:2])
-    records: list[CriticalPointRecord] = []
-    kept = np.empty((0, tensor.n))
-    for m, f_value, sigma, grad_norm, iters in found:
-        gap = kept - sigma
+    kept, sigmas = [], np.empty((len(found), tensor.n))
+    for point in found:
+        gap = sigmas[:len(kept)] - point[2]
         if np.all(np.sqrt(np.vecdot(gap, gap)) >= _DEDUP_CHORD):
-            eigs = np.linalg.eigvalsh(riemannian_hess(tensor, sigma))
-            records.append(CriticalPointRecord(
-                sigma=sigma.copy(), f_value=f_value, grad_norm=grad_norm,
-                index=int(np.sum(eigs > INDEX_ZERO_THRESHOLD)), m=m, iters=iters,
-            ))
-            kept = np.vstack((kept, sigma))
-    return records, failures
+            sigmas[len(kept)] = point[2]
+            kept.append(point)
+    flats = np.array([point[5] for point in kept]).reshape(-1, tensor.n, tensor.n)
+    f_vals = np.array([point[1] for point in kept])
+    hess = _sphere_hess(tensor.k, flats, f_vals, tangent_basis(sigmas[:len(kept)]))
+    index = np.count_nonzero(np.linalg.eigvalsh(hess) > INDEX_ZERO_THRESHOLD, axis=-1)
+    records = [CriticalPointRecord(sigma=sigma.copy(), f_value=f_value, grad_norm=grad_norm,
+                                   index=i, m=m, iters=iters)
+               for (m, f_value, sigma, grad_norm, iters, _), i in zip(kept, index.tolist())]
+    return records, n_starts - len(found)
 
 
 def landscape_histogram(

@@ -252,6 +252,23 @@ class TestSimulate:
         assert len(hlines) == 1 + 5 * 5
         assert sum(int(line.split(",")[4]) for line in hlines[1:]) >= 2
 
+    def test_histogram_without_local_maxima_is_all_zero(self, tmp_path):
+        # one start that finds one index-1 saddle: the value axis spans that
+        # record and every bin is zero
+        out = tmp_path / "newton.csv"
+        hist = tmp_path / "hist.csv"
+        code = run(["simulate", "--method", "newton", "--lambda", 1.5, "--n", 4,
+                    "--n-starts", 1, "--seed", 3, "--hist-bins", 3,
+                    "--hist-out", hist, "--out", out])
+        assert code == 0
+        rows = [line.split(",") for line in read_lines(out)[1:]]
+        assert [row[8] for row in rows] == ["1"]
+        f_value = float(rows[0][6])
+        hlines = read_lines(hist)
+        assert len(hlines) == 1 + 3 * 3
+        assert all(line.split(",")[4] == "0" for line in hlines[1:])
+        assert float(hlines[1].split(",")[2]) < f_value < float(hlines[-1].split(",")[3])
+
     def test_histogram_requires_newton(self, tmp_path):
         out = tmp_path / "s.csv"
         hist = tmp_path / "h.csv"

@@ -529,6 +529,17 @@ class TestCrtExpected:
             with pytest.raises(ValueError, match="must be >= 1"):
                 crt_expected(params, 5, n_samples=2, **steps)
 
+    @pytest.mark.parametrize("setting", [
+        {"n": 10.0}, {"n": True}, {"n_samples": 2.5}, {"n_samples": 200.0},
+        {"m_steps": 2.5}, {"m_steps": math.nan}, {"x_steps": True}, {"x_steps": "3"},
+    ])
+    def test_rejects_grid_and_sample_counts_that_are_not_integers(self, setting):
+        # a fractional grid would cover more than the window; the error
+        # names the count
+        args = dict(n=10, n_samples=2, m_steps=2, x_steps=2) | setting
+        with pytest.raises(ValueError, match=f"^{next(iter(setting))} must be"):
+            crt_expected(ModelParams(3, 0.0), **args)
+
     def test_rejects_nonpositive_thread_count(self):
         params = ModelParams(3, 1.0)
         for threads in (0, -4):

@@ -416,16 +416,28 @@ def test_noiseless_orthogonal_start_degenerates(method):
         method(tensor, np.array([0.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda v: make_spiked_tensor(3, 3, 1.0, v, seed=0),
+    lambda v: noiseless_tensor(3, 3, 1.0, v),
+    lambda v: power_iteration(noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0])), v),
+    lambda v: gradient_ascent(noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0])), v),
+], ids=["make_spiked_tensor", "noiseless_tensor", "power_iteration", "gradient_ascent"])
+def test_nan_vector_is_not_a_unit_vector(entry):
+    # a NaN norm compares False both ways; it must fail the unit check
+    with pytest.raises(ValueError, match="unit norm"):
+        entry(np.array([math.nan, 0.0, 0.0]))
+
+
 @pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
 def test_contracts_each_point_once(method, monkeypatch):
     contracted = []
-    original = simulate._contract
+    original = simulate._contract_rows
 
-    def recording(data, sigma, times):
-        contracted.append(np.asarray(sigma).tobytes())
-        return original(data, sigma, times)
+    def recording(tensor, x):
+        contracted.extend(row.tobytes() for row in x)
+        return original(tensor, x)
 
-    monkeypatch.setattr(simulate, "_contract", recording)
+    monkeypatch.setattr(simulate, "_contract_rows", recording)
     rng = np.random.default_rng(8)
     tensor = make_spiked_tensor(10, 3, 1.5, unit(rng, 10), seed=4)
     _, out = method(tensor, unit(rng, 10), max_iters=300)
@@ -505,12 +517,15 @@ class TestFindCriticalPoints:
         for rec in records:
             assert rec.grad_norm == float(np.linalg.norm(riemannian_grad(tensor, rec.sigma)))
 
-    @pytest.mark.parametrize("n, lam, starts, seeds", [
-        (4, 1.5, 300, [1]),  # the README's newton example, seed 0
-        (5, 1.5, 100, [[0, 0], [0, 1]]),  # the benchmark's inventory tensor 0
-    ], ids=["readme", "inventory"])
-    def test_matches_per_start_reference(self, n, lam, starts, seeds):
-        tensor = cli_tensor(n, lam, 0)
+    @pytest.mark.parametrize("n, k, starts, seeds", [
+        (4, 3, 300, [1]),  # the README's newton example, seed 0
+        (5, 3, 100, [[0, 0], [0, 1]]),  # the benchmark's inventory tensor 0
+        (4, 4, 300, [1]),
+        (4, 5, 200, [3]),
+    ], ids=["readme", "inventory", "k4", "k5"])
+    def test_matches_per_start_reference(self, n, k, starts, seeds):
+        # at k = 3 this is cli_tensor(n, 1.5, 0)
+        tensor = make_spiked_tensor(n, k, 1.5, unit(np.random.default_rng(0), n), seed=0)
         for seed in seeds:
             assert_same_search(find_critical_points(tensor, n_starts=starts, seed=seed),
                                reference_search(tensor, starts, seed))
