@@ -340,10 +340,11 @@ def cmd_simulate(args) -> None:
             lines.append(",".join(
                 str(v) if isinstance(v, int) else (_fmt(v) if isinstance(v, float) else v)
                 for v in row))
-    _write_lines(args.out, lines)
     if args.hist_out is not None:
-        # the value axis spans the maxima; with none, all records give its
-        # range and the histogram is all zero
+        # built before either file is written: with no record at all it
+        # raises, and the run leaves no file behind.  The value axis spans
+        # the maxima; with none, all records give its range and the
+        # histogram is all zero
         maxima = [r for r in found if r.index == 0]
         counts, m_edges, f_edges = landscape_histogram(
             maxima or found, m_bins=args.hist_bins, f_bins=args.hist_bins)
@@ -354,6 +355,8 @@ def cmd_simulate(args) -> None:
                     _fmt(m_edges[i]), _fmt(m_edges[i + 1]),
                     _fmt(f_edges[j]), _fmt(f_edges[j + 1]),
                     str(int(counts[i, j])))))
+    _write_lines(args.out, lines)
+    if args.hist_out is not None:
         _write_lines(args.hist_out, hlines)
 
 

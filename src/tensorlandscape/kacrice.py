@@ -195,17 +195,16 @@ def crt_expected(
     ``m_interval`` is clipped to [-0.999, 0.999]: the closed integrand has
     an integrable (1-m^2)^(-3/2) factor whose endpoint cells a midpoint rule
     cannot represent, and the clipped sliver carries no count mass at the
-    scales of interest.  ``n_threads`` must be >= 1 and has no effect:
-    identical seeds give bit-identical estimates.
+    scales of interest.  ``n_threads`` must be an integer >= 1 (not a bool)
+    and has no effect: identical seeds give bit-identical estimates.
     """
     for name, value, low in (("n", n, 3), ("n_samples", n_samples, 2),
-                             ("m_steps", m_steps, 1), ("x_steps", x_steps, 1)):
+                             ("m_steps", m_steps, 1), ("x_steps", x_steps, 1),
+                             ("n_threads", n_threads, 1)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
             raise ValueError(f"{name} must be >= {low} and an integer (not a bool), got {value!r}")
     if which not in ("star", "zero"):
         raise ValueError(f"which must be 'star' or 'zero', got {which!r}")
-    if n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
     m_lo = max(float(m_interval[0]), -_M_CLIP)
     m_hi = min(float(m_interval[1]), _M_CLIP)
     x_lo, x_hi = float(x_interval[0]), float(x_interval[1])

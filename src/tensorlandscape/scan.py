@@ -4,7 +4,7 @@ The closed forms in :mod:`tensorlandscape.complexity` are cheap to evaluate,
 so global structure is extracted numerically: maximize over one landscape
 coordinate at a fixed value of the other (coarse scan plus golden-section
 polish), locate the overlap band where local maxima are exponentially
-numerous (sign-change bisection on the projection), and rasterize the
+numerous (sign-change multisection on the projection), and rasterize the
 nonnegativity region of either complexity over a rectangular grid.  The
 band report takes its critical-point band and touch point from the closed
 forms :func:`tensorlandscape.thresholds.s_star_projection` and
@@ -16,8 +16,10 @@ all of them in one batched pass: the coarse scan is one broadcast over
 per block so that temporaries stay at a few MB, and the golden-section
 polish advances every bracket of a block together as arrays.  The result
 at each coordinate is bitwise the scalar call's.  ``band_endpoints``
-bisects both local-maximum band edges together through the same batched
-projection, inside the critical-point band.
+narrows both local-maximum band edges together inside the critical-point
+band by multisection: each round is one batched projection over 16 interior
+points of each edge's bracket and narrows it 17-fold, so the default
+``xtol`` of 1e-10 takes 8 or 9 rounds (brackets up to 0.71 wide).
 
 Evaluation is vectorized numpy and therefore deterministic; no randomness
 enters this module.
@@ -58,6 +60,14 @@ _M_SEARCH = (-1.0 + 1e-9, 1.0 - 1e-9)
 
 #: Points of the grid over [0, 1 - 1e-7] that brackets the critical-point band edge.
 _BAND_SCAN_POINTS = 1200
+
+#: Interior points per bracket and round of the band-edge multisection; a
+#: round narrows each bracket by a factor of ``_SECTION_POINTS + 1``.
+_SECTION_POINTS = 16
+
+#: Round cap of the multisection: 17**49 > 2**200, the narrowing of 200
+#: bisection steps, so a bracket stuck between adjacent doubles still ends.
+_SECTION_ROUNDS = 49
 
 
 def _point_count(v, name: str) -> int:
@@ -294,28 +304,39 @@ def region_nonnegative(
 
 
 def _bisect_crossings(fn, lo, hi, f_hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Bisect every bracket with fn(lo) > 0 >= fn(hi) to width ``xtol``, together.
+    """Narrow every bracket with fn(lo) > 0 >= fn(hi) to width ``xtol``, together.
 
-    ``fn`` maps an array of points to values.  Brackets may be descending
-    (negative-m edges).  A point where fn is exactly 0 is returned as is.
+    A multisection: each round places ``_SECTION_POINTS`` evenly spaced
+    interior points in every live bracket and evaluates all of them in one
+    ``fn`` call (``fn`` maps an array of points to values).  The new bracket
+    runs from the last point with fn > 0 before the first point with
+    fn <= 0 to that point.  Brackets may be descending (negative-m edges).
+    A point where fn is exactly 0 is returned as is, a bracket narrower than
+    ``xtol`` gives its midpoint, and after ``_SECTION_ROUNDS`` rounds every
+    bracket still live gives its midpoint too.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     out = np.where(f_hi == 0.0, hi, math.nan)
     live = np.flatnonzero(f_hi != 0.0)
-    for _ in range(200):
-        mid = 0.5 * (lo[live] + hi[live])
+    frac = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
+    for _ in range(_SECTION_ROUNDS):
         done = np.abs(hi[live] - lo[live]) <= xtol
-        out[live[done]] = mid[done]
-        live, mid = live[~done], mid[~done]
+        out[live[done]] = 0.5 * (lo[live[done]] + hi[live[done]])
+        live = live[~done]
         if not live.size:
             return out
-        f_mid = np.asarray(fn(mid), dtype=float)
-        out[live[f_mid == 0.0]] = mid[f_mid == 0.0]
-        up = f_mid > 0.0
-        lo[live[up]] = mid[up]
-        down = ~up & (f_mid != 0.0)
-        hi[live[down]] = mid[down]
-        live = live[f_mid != 0.0]
+        a, b = lo[live], hi[live]
+        inner = a[:, None] + (b - a)[:, None] * frac
+        f = np.asarray(fn(inner.ravel()), dtype=float).reshape(inner.shape)
+        # each row: lo (fn > 0), the interior points, hi (fn < 0 while live)
+        pts = np.column_stack([a, inner, b])
+        f = np.column_stack([np.ones(live.size), f, -np.ones(live.size)])
+        j = np.argmax(f <= 0.0, axis=1)
+        r = np.arange(live.size)
+        lo[live], hi[live] = pts[r, j - 1], pts[r, j]
+        exact = f[r, j] == 0.0
+        out[live[exact]] = hi[live[exact]]
+        live = live[~exact]
     out[live] = 0.5 * (lo[live] + hi[live])
     return out
 
@@ -328,9 +349,13 @@ def band_endpoints(
     """Locate where the projected complexity max_x S(m, x) changes sign.
 
     The star edges m1 = -m2 bound the first sign region of the closed-form,
-    even ``s_star_projection``: a grid bracket bisected to ``xtol`` (finite
-    and > 0).  Since s_zero <= s_star, the zero edges are bisected together
-    inside them, on [0, m1] and [0, m2], through the numeric projection.
+    even ``s_star_projection``: a grid bracket narrowed to ``xtol`` (finite
+    and > 0) by multisection, 6 rounds at the default.  Since
+    s_zero <= s_star, the zero edges are narrowed together inside them, on
+    [0, m1] and [0, m2]: each round is one batched numeric projection over
+    16 points of each bracket, and shrinks both brackets 17-fold, so the
+    default takes 8 or 9 rounds.  A round cap ends the search for a ``xtol``
+    below what doubles resolve.
     The touch point ``m_star``, where the projection climbs back to zero at
     high overlap, is the closed-form root ``good_location_zero(params)`` for
     either surface: present iff lam >= lambda_critical(k).

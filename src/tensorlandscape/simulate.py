@@ -411,8 +411,8 @@ def find_critical_points(
     tangent Hessian, built from that same contraction.
     Returns (records, number of non-convergent starts).
     """
-    if not isinstance(n_starts, (int, np.integer)) or n_starts < 1:
-        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
+    if not isinstance(n_starts, (int, np.integer)) or isinstance(n_starts, bool) or n_starts < 1:
+        raise ValueError(f"n_starts must be an integer >= 1 (not a bool), got {n_starts!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     found = []  # (m, f_value, sigma, grad_norm, iters, Y[sigma^(k-2)]) per converged start
     for first in range(0, n_starts, _NEWTON_BLOCK):

@@ -269,6 +269,17 @@ class TestSimulate:
         assert all(line.split(",")[4] == "0" for line in hlines[1:])
         assert float(hlines[1].split(",")[2]) < f_value < float(hlines[-1].split(",")[3])
 
+    def test_no_converged_start_leaves_no_file(self, tmp_path, capsys):
+        # one start that does not converge: no record to histogram, exit 2,
+        # and neither output file is written
+        out = tmp_path / "newton.csv"
+        hist = tmp_path / "hist.csv"
+        code = run(["simulate", "--k", 3, "--lambda", 1.5, "--n", 4, "--n-starts", 1,
+                    "--seed", 0, "--method", "newton", "--hist-out", hist, "--out", out])
+        assert code == 2
+        assert "nonempty record list" in capsys.readouterr().err
+        assert not out.exists() and not hist.exists()
+
     def test_histogram_requires_newton(self, tmp_path):
         out = tmp_path / "s.csv"
         hist = tmp_path / "h.csv"

@@ -499,6 +499,10 @@ class TestCrtExpected:
             crt_expected(params, 5, m_interval=(0.9995, 0.9999))
         with pytest.raises(ValueError):
             crt_expected(params, 5, x_interval=(1.0, 1.0))
+        # a thread count is an integer >= 1, not a bool, and the error names it
+        for threads in (True, 2.5, None):
+            with pytest.raises(ValueError, match="^n_threads must be"):
+                crt_expected(params, 5, n_samples=2, n_threads=threads)
 
     def test_growth_rate_large_n(self):
         # lambda = 0 at n in the hundreds: the slope of log E[count] is

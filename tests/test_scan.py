@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorlandscape import scan
 from tensorlandscape import (
     GridSpec,
     ModelParams,
@@ -238,8 +239,33 @@ class TestBandEndpoints:
         with pytest.raises(ValueError, match="xtol"):
             band_endpoints(ModelParams(3, 3.0), which="zero", xtol=xtol)
 
+    def test_zero_edges_take_few_projections(self, monkeypatch):
+        # the multisection evaluates all points of a round in one batched
+        # projection: 1 call at the star edges plus 8 rounds to 1e-10
+        calls = []
+        project = scan.project_max_over_x
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(scan, "project_max_over_x", counted)
+        band_endpoints(ModelParams(3, 3.0), which="zero")
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("which", ["zero", "star"])
+    def test_tiny_xtol_ends_at_round_cap(self, which):
+        # no bracket narrows below 1e-300 away from m = 0: the round cap ends
+        # the search, and the edges are those of the default tolerance
+        params = ModelParams(3, 3.0)
+        band = band_endpoints(params, which=which, xtol=1e-300)
+        default = band_endpoints(params, which=which)
+        assert math.isfinite(band.m1) and math.isfinite(band.m2)
+        assert band.m1 < 0.0 < band.m2
+        assert abs(band.m1 - default.m1) <= 2e-10 and abs(band.m2 - default.m2) <= 2e-10
+
     def test_zero_projection_positive_at_center(self):
-        # the zero-band bisection starts from m = 0, where neither surface
+        # the zero-band search starts from m = 0, where neither surface
         # depends on lam
         for k in range(3, 21):
             for lam in (0.0, 3.0):
@@ -247,7 +273,7 @@ class TestBandEndpoints:
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_zero_band_inside_star_band(self, k):
-        # the zero edges are bisected on [0, star edge]: the zero projection
+        # the zero edges are searched on [0, star edge]: the zero projection
         # is positive inside its band and negative from there out to the star
         # edge, and the closed-form star edge is where the numeric star
         # projection changes sign
@@ -258,6 +284,10 @@ class TestBandEndpoints:
             assert star.m1 == -star.m2
             inside = np.linspace(zero.m1, zero.m2, 202)[1:-1]
             assert np.all(project_max_over_x(params, inside, "zero").value > 0.0)
+            # each zero edge brackets the sign change to within 2e-10
+            near = np.array([zero.m1 + 2e-10, zero.m2 - 2e-10, zero.m1 - 2e-10, zero.m2 + 2e-10])
+            val = project_max_over_x(params, near, "zero").value
+            assert np.all(val[:2] > 0.0) and np.all(val[2:] <= 0.0)
             for z, s in ((zero.m1, star.m1), (zero.m2, star.m2)):
                 between = np.linspace(z, s, 202)[1:-1]
                 assert np.all(project_max_over_x(params, between, "zero").value < 0.0)

@@ -544,10 +544,11 @@ class TestFindCriticalPoints:
     @pytest.mark.parametrize("setting", [
         {"n_starts": 0}, {"n_starts": -3}, {"n_starts": 2.5}, {"n_starts": 2.0},
         {"n_starts": math.nan}, {"n_starts": math.inf}, {"n_starts": None},
+        {"n_starts": True}, {"n_starts": False},
     ])
     def test_rejects_bad_search_setting(self, setting):
-        # a start count that is not an integer >= 1 is named in the error,
-        # before any start is drawn
+        # a start count that is not an integer >= 1 (a bool is not) is named
+        # in the error, before any start is drawn
         tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match=next(iter(setting))):
             find_critical_points(tensor, **setting)
