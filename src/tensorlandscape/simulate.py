@@ -18,14 +18,18 @@ with their Morse index by damped (Levenberg-Marquardt) Newton steps on
 |grad f|^2 / 2.  All of them contract the tensor with one kernel,
 ``_contract_rows``, which takes a (B, n) stack of points (a single point is
 a stack of one) and gives Y[x^(k-2)], Y[x^(k-1)], f and the sphere gradient
-for each row.
+for each row.  The kernel reads a packed copy of the tensor that keeps only
+the upper triangle of its last two axes, half the bytes of the dense array,
+made on the first contraction and kept with the tensor.
 
 Dense storage keeps the code transparent; it is meant for desk-scale
-dimensions (n^k memory), not production tensor decomposition.
+dimensions, not production tensor decomposition: n^k floats, plus
+n^(k-1)(n+1)/2 for the packed copy once a tensor has been contracted.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,14 +59,28 @@ class DegenerateIterateError(RuntimeError):
     """Raised when an iteration produces a vector it cannot renormalize."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpikedTensor:
-    """A realized observation: dimension, order, planted direction, dense data."""
+    """A realized observation: dimension, order, planted direction, dense data.
+
+    Frozen, and ``data`` must not be changed in place either: the first
+    contraction caches a packed copy of it (see ``_packed``).
+    """
 
     n: int
     k: int
     u: np.ndarray
     data: np.ndarray
+
+    @functools.cached_property
+    def _packed(self) -> np.ndarray:
+        """The upper triangle j <= l of the last two axes, read-only, of shape
+        (n^(k-2), n(n+1)/2): P[a, p] = Y[a, j_p, l_p] in ``np.triu_indices``
+        order.  Symmetry makes the lower triangle redundant."""
+        n = self.n
+        packed = np.take(self.data.reshape(-1, n * n), _triangle(n)[0], axis=1)
+        packed.flags.writeable = False
+        return packed
 
 
 @dataclass
@@ -114,7 +132,8 @@ def _symmetrize(g: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(g)
     for perm in itertools.permutations(range(k)):
         acc += np.transpose(g, perm)
-    return acc / math.factorial(k)
+    acc /= math.factorial(k)
+    return acc
 
 
 def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray, seed: int) -> SpikedTensor:
@@ -135,8 +154,13 @@ def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray, seed: int) -> 
     if u.shape[0] != n:
         raise ValueError("u must have length n")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    g = rng.normal(size=(n,) * k)
-    data = lam * _rank_one(u, k) + _symmetrize(g) / math.sqrt(2.0 * n)
+    # built in place, with two tensor-sized temporaries at most; bit for bit
+    # lam R + sym(G) / sqrt(2n), as addition and multiplication commute
+    data = _symmetrize(rng.normal(size=(n,) * k))
+    data /= math.sqrt(2.0 * n)
+    signal = _rank_one(u, k)
+    signal *= lam
+    data += signal
     return SpikedTensor(n=n, k=k, u=u.copy(), data=data)
 
 
@@ -157,17 +181,34 @@ def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
     return SpikedTensor(n=n, k=k, u=u.copy(), data=lam * _rank_one(u, k))
 
 
+@functools.lru_cache(maxsize=8)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major positions of the upper triangle j <= l of an (n, n)
+    matrix, in ``np.triu_indices`` order, and the (n, n) map from (j, l) to
+    the packed position of (min(j, l), max(j, l)); both read-only."""
+    rows, cols = np.triu_indices(n)
+    unpack = np.empty((n, n), dtype=np.intp)
+    unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
+    positions = rows * n + cols
+    positions.flags.writeable = unpack.flags.writeable = False
+    return positions, unpack
+
+
 def _contract_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """For each row of a (B, n) array x: Y[x^(k-2)] of shape (B, n, n),
     w = Y[x^(k-1)] of shape (B, n), f = w . x of shape (B,) and the sphere
-    gradient of shape (B, n), from one matrix product and k-2 einsum
-    contractions.  A row of a stack is not bit for bit that row contracted
+    gradient of shape (B, n).
+
+    Y[x^(k-2)] comes from the packed upper triangle of the tensor: one
+    matrix product contracts its first index, k-3 einsums the next ones, and
+    one gather unpacks the symmetric result, so each call reads half of the
+    dense bytes.  A row of a stack is not bit for bit that row contracted
     alone, so single points go in as (1, n) stacks."""
-    data, n = tensor.data, tensor.data.shape[-1]
-    out = (data.reshape(-1, n) @ x.T).reshape(data.shape[:-1] + x.shape[:1])
-    for _ in range(data.ndim - 3):
-        out = np.einsum("...jb,bj->...b", out, x)
-    flat = np.moveaxis(out, -1, 0)
+    packed, n = tensor._packed, tensor.n
+    out = x @ packed.reshape(n, -1)
+    for _ in range(tensor.k - 3):
+        out = np.einsum("bjt,bj->bt", out.reshape(len(x), n, -1), x)
+    flat = out[:, _triangle(n)[1]]
     w = np.einsum("bij,bj->bi", flat, x)
     return flat, w, np.vecdot(w, x), _sphere_grad(tensor.k, w, x)
 

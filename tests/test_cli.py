@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorlandscape import ModelParams, cli, project_max_over_x, s_star
+from tensorlandscape import ModelParams, cli, project_max_over_x, s_star, simulate
 from tensorlandscape.cli import main
 
 
@@ -330,6 +330,31 @@ class TestSimulate:
         assert code == 2
         assert "lam" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["power", "ascent"])
+    def test_row_matches_the_public_calculus_bit_for_bit(self, tmp_path, monkeypatch, method):
+        # the final point is contracted once; f, |grad f| and the index must
+        # be what objective, riemannian_grad and riemannian_hess give there
+        finals = []
+        name = "power_iteration" if method == "power" else "gradient_ascent"
+        optimizer = getattr(cli, name)
+
+        def recording(tensor, sigma0, **kwargs):
+            result = optimizer(tensor, sigma0, **kwargs)
+            finals.append((tensor, result[0]))
+            return result
+
+        monkeypatch.setattr(cli, name, recording)
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--method", method, "--lambda", 1.2, "--n", 9,
+                    "--seed", 4, "--out", out]) == 0
+        (tensor, sigma), = finals
+        toks = read_lines(out)[1].split(",")
+        index = np.count_nonzero(np.linalg.eigvalsh(simulate.riemannian_hess(tensor, sigma))
+                                 > simulate.INDEX_ZERO_THRESHOLD)
+        assert toks[6] == cli._fmt(simulate.objective(tensor, sigma))
+        assert toks[7] == cli._fmt(np.linalg.norm(simulate.riemannian_grad(tensor, sigma)))
+        assert toks[8] == str(index)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--method", "power", "--lambda", 1.2, "--n", 9,

@@ -6,6 +6,9 @@ ambient space, and a per-start Newton search against which the batched
 multistart search is checked.
 """
 
+import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from tensorlandscape import (
     DegenerateIterateError,
+    SpikedTensor,
     find_critical_points,
     gradient_ascent,
     landscape_histogram,
@@ -161,6 +165,19 @@ class TestMakeSpikedTensor:
         ratio = vals.var(ddof=1) * 2.0 * n
         assert abs(ratio - 1.0) < 4.0 * math.sqrt(2.0 / (vals.size - 1))
 
+    @pytest.mark.parametrize("n, k", [(5, 3), (7, 4)])
+    def test_in_place_build_is_the_sum_bit_for_bit(self, n, k):
+        # the tensor is built in place; it must equal the plain expression
+        # lam u^(x)k + sym(G) / sqrt(2n) exactly
+        u = unit(np.random.default_rng(n), n)
+        g = np.random.default_rng(np.random.SeedSequence(11)).normal(size=(n,) * k)
+        sym = np.zeros_like(g)
+        for perm in itertools.permutations(range(k)):
+            sym += np.transpose(g, perm)
+        rank_one = functools.reduce(np.multiply.outer, [u] * k)
+        want = 1.7 * rank_one + sym / math.factorial(k) / math.sqrt(2.0 * n)
+        assert np.array_equal(make_spiked_tensor(n, k, 1.7, u, seed=11).data, want)
+
     def test_rejects_bad_arguments(self):
         u = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
@@ -173,6 +190,53 @@ class TestMakeSpikedTensor:
             make_spiked_tensor(3, 3, 1.0, 2.0 * u, seed=0)
         with pytest.raises(ValueError):
             make_spiked_tensor(4, 3, 1.0, u, seed=0)
+
+
+def dense_contraction(data, x):
+    """Y[x^(k-2)] per row of x by one plain einsum over the dense tensor."""
+    k = data.ndim
+    axes = "acdefg"[:k]
+    spec = ",".join([axes] + ["b" + a for a in axes[:k - 2]])
+    return np.einsum(f"{spec}->b{axes[k - 2:]}", data, *[x] * (k - 2))
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_matches_dense_einsum(self, k, n, rows):
+        rng = np.random.default_rng([k, n, rows])
+        tensor = make_spiked_tensor(n, k, 1.3, unit(rng, n), seed=k + n)
+        x = rng.standard_normal((rows, n))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        flat, w, f, grad = simulate._contract_rows(tensor, x)
+        want = dense_contraction(tensor.data, x)
+        want_w = np.einsum("bij,bj->bi", want, x)
+        want_f = np.einsum("bi,bi->b", want_w, x)
+        for got, ref in [(flat, want), (w, want_w), (f, want_f),
+                         (grad, k * (want_w - want_f[:, None] * x))]:
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_packed_copy_is_built_once_and_read_only(self, k):
+        n = 5
+        tensor = make_spiked_tensor(n, k, 1.0, unit(np.random.default_rng(0), n), seed=1)
+        assert "_packed" not in vars(tensor)  # built by the first contraction
+        objective(tensor, tensor.u)
+        packed = vars(tensor)["_packed"]
+        riemannian_hess(tensor, tensor.u)
+        find_critical_points(tensor, n_starts=3, seed=0)
+        assert vars(tensor)["_packed"] is packed
+        assert packed.shape == (n ** (k - 2), n * (n + 1) // 2)
+        rows, cols = np.triu_indices(n)
+        assert np.array_equal(packed, tensor.data.reshape(-1, n, n)[:, rows, cols])
+        with pytest.raises(ValueError):
+            packed[0, 0] = 1.0
+
+    def test_tensor_is_frozen(self):
+        tensor = noiseless_tensor(4, 3, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tensor.data = np.zeros((4, 4, 4))
 
 
 class TestNoiselessTensor:
@@ -273,8 +337,7 @@ class TestSphereCalculus:
 
     def test_rotation_equivariance(self):
         q, _ = np.linalg.qr(self.rng.standard_normal((self.n, self.n)))
-        rotated = noiseless_tensor(self.n, 3, 1.0, np.ones(self.n) / math.sqrt(self.n))
-        rotated.data = rotate_tensor(self.tensor.data, q)
+        rotated = SpikedTensor(self.n, 3, q @ self.tensor.u, rotate_tensor(self.tensor.data, q))
         sig_q = q @ self.sigma
         assert objective(rotated, sig_q) == pytest.approx(
             objective(self.tensor, self.sigma), abs=1e-10

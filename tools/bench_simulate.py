@@ -1,0 +1,119 @@
+"""Per-layer baseline of tensor contraction in ``tensorlandscape.simulate``.
+
+Times the one contraction kernel, ``simulate._contract_rows``, per point at
+(n, k) = (100, 3) and (30, 4) on stacks of 1 and 20 points, and one
+``power_iteration`` run on the three n = 100 tensors of the benchmark's
+``recovery`` job, with every BLAS/OpenMP thread variable set to 1.  The
+result goes under a label into a JSON file together with the machine
+(nproc, CPU, BLAS).  Run from the repository root:
+
+    python3 tools/bench_simulate.py --label "this change"
+    python3 tools/bench_simulate.py --label parent --src ../parent/src
+
+``--src`` picks the source tree to import (default: this repository's
+``src``), so two commits can be measured by the same script on the same
+machine; each label's entry in ``BENCH_simulate.json`` at the repository
+root is replaced and the others are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from bench_scan import ROOT, machine  # sets the thread variables before numpy loads
+
+OUT = ROOT / "BENCH_simulate.json"
+#: timed samples per case, each of CALLS contractions, after one untimed call
+REPEATS, CALLS = 21, 50
+CASES = ((100, 3), (30, 4))
+ROWS = (1, 20)
+#: the recovery job's tensors: n, lambda / sqrt(n) per tensor, power
+#: iteration starts per tensor and the iteration cap; the starts are those
+#: its seed 1 draws in its first repetition
+RECOVERY_N, RECOVERY_FACTORS, STARTS, CAP = 100, (0.5, 1.0, 2.0), 20, 200
+#: timed passes over the 60 power iteration runs, after one untimed pass
+PASSES = 3
+
+
+def contraction() -> list[dict]:
+    import numpy as np
+    from tensorlandscape import simulate
+
+    rows = []
+    for n, k in CASES:
+        rng = np.random.default_rng([n, k])
+        u = rng.standard_normal(n)
+        tensor = simulate.make_spiked_tensor(n, k, math.sqrt(n), u / np.linalg.norm(u), seed=0)
+        for size in ROWS:
+            x = rng.standard_normal((size, n))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            simulate._contract_rows(tensor, x)  # warms up (and builds any cache)
+            per_point = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                for _ in range(CALLS):
+                    simulate._contract_rows(tensor, x)
+                per_point.append((time.perf_counter() - t0) / (CALLS * size))
+            q1, median, q3 = statistics.quantiles(per_point, n=4)
+            rows.append({"n": n, "k": k, "rows": size, "median_us_per_point": 1e6 * median,
+                         "q1_us": 1e6 * q1, "q3_us": 1e6 * q3, "repeats": REPEATS,
+                         "calls_per_repeat": CALLS})
+    return rows
+
+
+def power() -> dict:
+    import numpy as np
+    from tensorlandscape import simulate
+
+    runs = []
+    for i, factor in enumerate(RECOVERY_FACTORS):
+        rng = np.random.default_rng(i)
+        u = rng.standard_normal(RECOVERY_N)
+        tensor = simulate.make_spiked_tensor(RECOVERY_N, 3, factor * math.sqrt(RECOVERY_N),
+                                             u / np.linalg.norm(u), seed=i)
+        starts = np.random.default_rng([1, 0, i]).standard_normal((STARTS, RECOVERY_N))
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        runs += [(tensor, start) for start in starts]
+    times = []
+    for timed in [False] + [True] * PASSES:
+        iters = 0
+        for tensor, start in runs:
+            t0 = time.perf_counter()
+            _, steps = simulate.power_iteration(tensor, start, max_iters=CAP)
+            if timed:
+                times.append(time.perf_counter() - t0)
+            iters += steps
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"runs": len(runs), "passes": PASSES, "iters_per_pass": iters,
+            "median_ms_per_run": 1e3 * median, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3,
+            "us_per_iter": 1e6 * sum(times) / (PASSES * iters)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="name of this entry in the output")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree to import tensorlandscape from")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+
+    result = {"machine": machine(), "contract_rows": contraction(), "power_iteration": power()}
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data[args.label] = result
+    OUT.write_text(json.dumps(data, indent=2) + "\n")
+    for row in result["contract_rows"]:
+        print(f"{args.label}: _contract_rows n={row['n']} k={row['k']} rows={row['rows']}: "
+              f"{row['median_us_per_point']:.1f} us per point")
+    p = result["power_iteration"]
+    print(f"{args.label}: power_iteration {p['median_ms_per_run']:.1f} ms median per run, "
+          f"{p['iters_per_pass']} iterations per pass, {p['us_per_iter']:.1f} us per iteration")
+
+
+if __name__ == "__main__":
+    main()
