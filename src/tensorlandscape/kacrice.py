@@ -29,9 +29,10 @@ Design notes:
 * the (m, x) sum factors per x column: exp(weight) is the column's total
   exp(L_x) times convex shares over m, so a sample's total is
   sum_x exp(log_tail + L_x) * sum_m share |p_1|.  The inner sum is built one
-  m row at a time with no transcendental per cell, and one ``logsumexp``
-  over x reduces all samples: memory is O(samples x x_steps), and no
-  (samples, m, x) array is built.
+  m row at a time with no transcendental per cell, and one log-sum-exp
+  over x reduces all samples in place: memory is O(samples x x_steps), and
+  no (samples, m, x) array is built.  The column totals L_x come from the
+  same log-sum-exp, ``_log_sum_exp``, over m.
 * theta_n and t_n are ``theta_of_m`` and ``t_of_x`` scaled by sqrt(n/(n-1)),
   and the exponential weight is n times the terms of ``s_star`` other than
   ``phi_star``: every formula comes from :mod:`tensorlandscape.complexity`.
@@ -44,7 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .complexity import ModelParams, _s_star_without_phi, t_of_x, theta_of_m
 
@@ -119,13 +119,13 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
     ``restrict_negative`` keeps only cells with no pivot above 0 (H <= 0).
 
     Per t column, exp(log_weight) = exp(L) * share with L the column's
-    logsumexp and share convex weights over theta, so a draw's total is
+    log-sum-exp and share convex weights over theta, so a draw's total is
     sum_t exp(log_tail + L) * sum_theta share |p_1|.  The inner sum is
     accumulated one theta row at a time over (samples, len(t)) arrays; it is
     at most max |p_1|, so it cannot overflow.
     """
     log_tail, n_positive, last = _pivots(*draws, t)
-    log_column = logsumexp(log_weight, axis=0)
+    log_column = _log_sum_exp(log_weight.copy(), axis=0)
     # an all -inf column has L = -inf: share 0 there, not nan
     share = np.exp(log_weight - np.where(np.isfinite(log_column), log_column, 0.0))
     inner, cell = np.zeros((2, *last.shape))
@@ -143,13 +143,23 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
         np.log(inner, out=inner)
     log_tail += log_column
     log_tail += inner
-    # logsumexp over t in place: scipy's copies the (samples, len(t)) array
-    # about five times, which would set the peak memory of the estimate
-    top = np.max(log_tail, axis=1, keepdims=True)
-    top[top == -np.inf] = 0.0  # a fully masked draw: exp(-inf) = 0, log 0 = -inf
-    log_tail -= top
+    # in place: a copy of the (samples, len(t)) array would set the peak
+    # memory of the estimate
+    return _log_sum_exp(log_tail, axis=1)
+
+
+def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) along ``axis``, overwriting ``a`` with exp(a - max).
+
+    The only array made is the reduced one.  A slice whose maximum is not
+    finite is shifted by 0 instead, so an all -inf slice gives log 0 = -inf,
+    not nan.
+    """
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    a -= top
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(log_tail, out=log_tail), axis=1)) + top[:, 0]
+        return np.log(np.sum(np.exp(a, out=a), axis=axis)) + np.squeeze(top, axis=axis)
 
 
 def log_count_prefactor(n: int, k: int) -> float:
@@ -166,7 +176,7 @@ def log_count_prefactor(n: int, k: int) -> float:
     return (
         math.log(2.0)
         + half * math.log(half / math.e)
-        - float(gammaln(half))
+        - math.lgamma(half)
         + 0.5 * math.log(n / ((k - 1.0) * math.e * math.pi))
     )
 

@@ -65,6 +65,8 @@ class SpikedTensor:
 
     Frozen, and ``data`` must not be changed in place either: the first
     contraction caches a packed copy of it (see ``_packed``).
+    ``make_spiked_tensor`` and ``noiseless_tensor`` return ``data`` read-only,
+    so an in-place write raises ValueError instead of going unseen.
     """
 
     n: int
@@ -161,6 +163,7 @@ def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray, seed: int) -> 
     signal = _rank_one(u, k)
     signal *= lam
     data += signal
+    data.flags.writeable = False  # the packed copy would not see a write
     return SpikedTensor(n=n, k=k, u=u.copy(), data=data)
 
 
@@ -178,7 +181,9 @@ def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
     u = _check_unit(u, "u")
     if u.shape[0] != n:
         raise ValueError("u must have length n")
-    return SpikedTensor(n=n, k=k, u=u.copy(), data=lam * _rank_one(u, k))
+    data = lam * _rank_one(u, k)
+    data.flags.writeable = False
+    return SpikedTensor(n=n, k=k, u=u.copy(), data=data)
 
 
 @functools.lru_cache(maxsize=8)

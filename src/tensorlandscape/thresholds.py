@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .complexity import ModelParams, _as_finite_array, _maybe_scalar, _sqrt_shifted_antideriv
 
@@ -47,8 +46,10 @@ __all__ = [
     "threshold_report",
 ]
 
-#: absolute x-tolerance and iteration cap for the bisection in good_location_zero
+#: absolute and relative x-tolerance and iteration cap for the bisection in
+#: good_location_zero (the relative one is 4 eps)
 _BISECT_XTOL = 1e-12
+_BISECT_RTOL = 4.0 * math.ulp(1.0)
 _BISECT_MAXITER = 200
 
 
@@ -172,7 +173,36 @@ def good_location_zero(params: ModelParams) -> float | None:
     if h(m_peak) <= 0.0:
         # only possible (up to rounding) at lam = lambda_critical: tangency
         return m_peak
-    return float(bisect(h, m_peak, 1.0, xtol=_BISECT_XTOL, maxiter=_BISECT_MAXITER))
+    return _bisect(h, m_peak, 1.0)
+
+
+def _bisect(f, xa: float, xb: float) -> float:
+    """A root of the scalar f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Halves the step dm and evaluates xm = xa + dm, keeping xa as the left end
+    while f(xm) has the sign of f(xa); stops at f(xm) = 0 or once
+    |dm| < _BISECT_XTOL + _BISECT_RTOL |xm|, and returns xm.  Step for step the
+    bracketing of ``scipy.optimize.bisect``, so it returns the same float.
+    Raises ValueError on a bracket without a sign change and RuntimeError
+    after _BISECT_MAXITER steps.
+    """
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0.0:
+        raise ValueError(f"f({xa!r}) and f({xb!r}) must have different signs")
+    if fa == 0.0:
+        return xa
+    if fb == 0.0:
+        return xb
+    dm = xb - xa
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < _BISECT_XTOL + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge in {_BISECT_MAXITER} steps")
 
 
 def minimize_g(a: float, b: float) -> tuple[float, float]:

@@ -1,10 +1,15 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorlandscape
 from tensorlandscape import ModelParams, cli, project_max_over_x, s_star, simulate
 from tensorlandscape.cli import main
 
@@ -456,3 +461,38 @@ class TestConfigFile:
         cfg.write_text("method = downhill\n", encoding="ascii")
         assert run(["simulate", "--config", cfg,
                     "--out", tmp_path / "s.csv"]) == 2
+
+
+class TestImports:
+    #: one run of every subcommand, in a fresh interpreter, then the check
+    #: that nothing loaded scipy: numpy is the only runtime dependency
+    SCRIPT = """
+import sys
+
+import tensorlandscape
+from tensorlandscape import cli
+
+out = sys.argv[1]
+for argv in (
+    ["grid", "--k", "3", "--lambda", "1.2", "--m-steps", "4", "--x-steps", "4",
+     "--out", out + "/grid.csv"],
+    ["projection", "--k", "3", "--lambda", "1.2", "--points", "5", "--out", out + "/proj.csv"],
+    ["thresholds", "--k", "3", "--lambda", "3"],
+    ["oracle", "--k", "3", "--n-list", "4,5,6", "--samples", "4", "--out", out + "/oracle.csv"],
+    ["simulate", "--k", "3", "--lambda", "2", "--n", "4", "--method", "newton",
+     "--n-starts", "20", "--out", out + "/sim.csv"],
+):
+    assert cli.main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:3]} ..."
+"""
+
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        src = str(Path(tensorlandscape.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("grid", "proj", "oracle", "sim"):
+            assert (tmp_path / f"{name}.csv").stat().st_size > 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
 from tensorlandscape import (
@@ -31,6 +31,7 @@ from tensorlandscape import (
 from tensorlandscape.complexity import phi_star, s_star, s_zero, t_of_x, theta_of_m
 from tensorlandscape.kacrice import (
     _count_grid,
+    _log_sum_exp,
     _log_totals,
     _mc_estimate,
     _pivots,
@@ -261,6 +262,50 @@ class TestLogTotals:
         np.testing.assert_array_equal(part, full[9:17])
 
 
+class TestLogSumExp:
+    """The in-package reduction against ``scipy.special.logsumexp``."""
+
+    @staticmethod
+    def check(a, axis):
+        want = logsumexp(a, axis=axis)
+        work = a.copy()
+        with np.errstate(invalid="raise"):
+            got = _log_sum_exp(work, axis)
+        assert got.shape == want.shape
+        # relative, and absolute near a result of 0 (a total near 1)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        return work
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (60, 60), (400, 60), (7, 3)])
+    def test_random_arrays(self, axis, shape):
+        rng = np.random.default_rng(list(shape))
+        self.check(40.0 * rng.standard_normal(shape) + 5.0, axis)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("lam", [0.0, 1.5, 3.0])
+    @pytest.mark.parametrize("n", [3, 6, 40, 160, 640])
+    def test_count_grids_with_empty_rows_and_columns(self, axis, lam, n):
+        _, _, log_weight = _count_grid(ModelParams(3, lam), n, (-0.99, 0.99), (-3.0, 3.0),
+                                       60, 60)
+        self.check(log_weight, axis)
+        log_weight[4, :] = log_weight[:, 11] = -np.inf
+        self.check(log_weight, axis)
+
+    def test_all_minus_infinity_is_minus_infinity(self):
+        a = np.full((3, 4), -np.inf)
+        a[1, 2] = 0.5
+        self.check(a, 0)
+        self.check(a, 1)
+        assert list(_log_sum_exp(a.copy(), 1)) == [-np.inf, 0.5, -np.inf]
+        assert list(_log_sum_exp(a.copy(), 0)) == [-np.inf, -np.inf, 0.5, -np.inf]
+
+    def test_overwrites_its_input_with_the_shifted_exponentials(self):
+        a = np.log(np.array([[1.0, 3.0], [2.0, 6.0]]))
+        work = self.check(a, 1)
+        np.testing.assert_allclose(work, [[1.0 / 3.0, 1.0], [1.0 / 3.0, 1.0]], rtol=1e-15)
+
+
 class TestSampleGoe:
     def test_symmetric_and_deterministic(self):
         a = sample_goe(8, seed=123)
@@ -407,6 +452,17 @@ class TestLogCountPrefactor:
         assert abs(log_count_prefactor(50, 3)) / 50.0 < 0.2
         rates = [abs(log_count_prefactor(n, 3)) / n for n in (20, 50, 100)]
         assert rates[0] > rates[1] > rates[2]
+
+    @pytest.mark.parametrize("k", [3, 4, 8])
+    def test_matches_the_gammaln_formula(self, k):
+        # the terms nearly cancel at large n, so the tolerance is relative
+        # to log Gamma((n-1)/2), the one term whose evaluation differs
+        for n in range(3, 2001):
+            half = 0.5 * (n - 1.0)
+            want = (math.log(2.0) + half * math.log(half / math.e) - float(gammaln(half))
+                    + 0.5 * math.log(n / ((k - 1.0) * math.e * math.pi)))
+            scale = max(abs(float(gammaln(half))), abs(want))
+            assert abs(log_count_prefactor(n, k) - want) <= 1e-14 * scale, n
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

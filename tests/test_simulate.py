@@ -238,6 +238,16 @@ class TestPackedKernel:
         with pytest.raises(dataclasses.FrozenInstanceError):
             tensor.data = np.zeros((4, 4, 4))
 
+    @pytest.mark.parametrize("make", ["spiked", "noiseless"])
+    def test_data_cannot_change_behind_the_packed_copy(self, make):
+        e1 = np.array([1.0, 0.0, 0.0, 0.0])
+        tensor = (make_spiked_tensor(4, 3, 2.0, e1, seed=0) if make == "spiked"
+                  else noiseless_tensor(4, 3, 2.0, e1))
+        before = objective(tensor, e1)
+        with pytest.raises(ValueError, match="read-only"):
+            tensor.data[0, 0, 0] += 1.0
+        assert objective(tensor, e1) == before
+
 
 class TestNoiselessTensor:
     def test_objective_at_spike(self):

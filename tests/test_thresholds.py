@@ -19,6 +19,7 @@ from tensorlandscape import (
     s_u,
     threshold_report,
 )
+from tensorlandscape import thresholds
 
 
 def zero_characteristic(params, m):
@@ -219,6 +220,30 @@ class TestGoodLocationZero:
     def test_sits_above_dispatch_crossover(self):
         params = ModelParams(3, 3.0)
         assert good_location_zero(params) > m_critical(params)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_matches_scipy_bisect_bit_for_bit(self, k):
+        for factor in (1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3, 1.1, 1.5, 2.0, 10.0,
+                       1e2, 1e4, 1e6):
+            params = ModelParams(k, lambda_critical(k) * factor)
+            m_peak = math.sqrt((k - 2.0) / (k - 1.0))
+            assert zero_characteristic(params, m_peak) > 0.0  # a bracket, not the tangency
+            want = optimize.bisect(lambda m: zero_characteristic(params, m), m_peak, 1,
+                                   xtol=1e-12, maxiter=200)
+            assert good_location_zero(params) == want, factor
+
+    def test_bisect_rejects_a_bracket_without_sign_change(self):
+        with pytest.raises(ValueError, match="different signs"):
+            thresholds._bisect(lambda m: m - 2.0, 0.0, 1.0)
+
+    def test_bisect_raises_at_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "_BISECT_MAXITER", 5)
+        with pytest.raises(RuntimeError, match="5 steps"):
+            thresholds._bisect(lambda m: m - 1.0 / 3.0, 0.0, 1.0)
+
+    def test_bisect_returns_an_endpoint_root(self):
+        assert thresholds._bisect(lambda m: m, 0.0, 1.0) == 0.0
+        assert thresholds._bisect(lambda m: m - 1.0, 0.0, 1.0) == 1.0
 
 
 class TestSStarProjection:
