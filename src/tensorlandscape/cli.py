@@ -45,10 +45,7 @@ from .simulate import (
     power_iteration,
     riemannian_grad,  # noqa: F401
     riemannian_hess,  # noqa: F401
-    tangent_basis,
-    INDEX_ZERO_THRESHOLD,
-    _contract_rows,
-    _sphere_hess,
+    _records,
 )
 from .thresholds import good_location_zero, lambda_critical, m_critical
 
@@ -292,28 +289,19 @@ def _draw_tensor(args, seed: int):
 
 
 def _simulate_one(args, seed: int):
-    """One optimization run; returns the CSV row fields."""
-    rng, u, tensor = _draw_tensor(args, seed)
-    n, k, lam = args.n, args.k, args.lam
-    sigma0 = rng.standard_normal(n)
+    """One optimization run; returns the record of its final point."""
+    rng, _u, tensor = _draw_tensor(args, seed)
+    sigma0 = rng.standard_normal(args.n)
     sigma0 /= np.linalg.norm(sigma0)
+    # only the flags that are set: the defaults are the optimizers' own
+    given = {name: value for name, value in (("max_iters", args.max_iters), ("tol", args.tol))
+             if value is not None}
     if args.method == "power":
-        cap = 500 if args.max_iters is None else args.max_iters
-        tol = 1e-10 if args.tol is None else args.tol
-        sigma, iters = power_iteration(tensor, sigma0, max_iters=cap, tol=tol)
+        sigma, iters = power_iteration(tensor, sigma0, **given)
     else:
-        cap = 2000 if args.max_iters is None else args.max_iters
-        tol = 1e-8 if args.tol is None else args.tol
-        sigma, trace = gradient_ascent(tensor, sigma0, max_iters=cap, tol=tol)
+        sigma, trace = gradient_ascent(tensor, sigma0, **given)
         iters = trace.iters
-    # one contraction of the final point gives f, the gradient and the
-    # Hessian, bit for bit as objective, riemannian_grad and riemannian_hess
-    flat, _, f_val, grad = _contract_rows(tensor, sigma[None])
-    grad_norm = float(np.linalg.norm(grad[0]))
-    eigs = np.linalg.eigvalsh(_sphere_hess(k, flat[0], f_val[0], tangent_basis(sigma)))
-    index = int(np.count_nonzero(eigs > INDEX_ZERO_THRESHOLD))
-    return (seed, n, k, lam, args.method, float(sigma @ u), float(f_val[0]),
-            grad_norm, index, iters)
+    return _records(tensor, sigma[None], [iters])[0]
 
 
 def cmd_simulate(args) -> None:
@@ -337,16 +325,13 @@ def cmd_simulate(args) -> None:
             records, _failures = find_critical_points(
                 tensor, n_starts=args.n_starts, seed=seed + 1)
             found.extend(records)
-            for r in records:
-                lines.append(",".join((
-                    str(seed), str(args.n), str(args.k), _fmt(args.lam),
-                    "newton", _fmt(r.m), _fmt(r.f_value), _fmt(r.grad_norm),
-                    str(r.index), str(r.iters))))
         else:
-            row = _simulate_one(args, seed)
-            lines.append(",".join(
-                str(v) if isinstance(v, int) else (_fmt(v) if isinstance(v, float) else v)
-                for v in row))
+            records = [_simulate_one(args, seed)]
+        for r in records:
+            lines.append(",".join((
+                str(seed), str(args.n), str(args.k), _fmt(args.lam),
+                args.method, _fmt(r.m), _fmt(r.f_value), _fmt(r.grad_norm),
+                str(r.index), str(r.iters))))
     if args.hist_out is not None:
         # built before either file is written: with no record at all it
         # raises, and the run leaves no file behind.  The value axis spans

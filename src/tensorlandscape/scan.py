@@ -17,9 +17,11 @@ per block so that temporaries stay at a few MB, and the golden-section
 polish advances every bracket of a block together as arrays.  The result
 at each coordinate is bitwise the scalar call's.  ``band_endpoints``
 narrows both local-maximum band edges together inside the critical-point
-band by multisection: each round is one batched projection over 16 interior
-points of each edge's bracket and narrows it 17-fold, so the default
-``xtol`` of 1e-10 takes 8 or 9 rounds (brackets up to 0.71 wide).
+band by multisection (``_bisect_crossings``, which lives in
+:mod:`tensorlandscape.thresholds` and also locates the touch point): each
+round is one batched projection over 16 interior points of each edge's
+bracket and narrows it 17-fold, so the default ``xtol`` of 1e-10 takes 8
+or 9 rounds (brackets up to 0.71 wide).
 
 Evaluation is vectorized numpy and therefore deterministic; no randomness
 enters this module.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import ModelParams, s_star, s_zero
-from .thresholds import good_location_zero, s_star_projection
+from .thresholds import _bisect_crossings, good_location_zero, s_star_projection
 
 __all__ = [
     "GridSpec",
@@ -60,14 +62,6 @@ _M_SEARCH = (-1.0 + 1e-9, 1.0 - 1e-9)
 
 #: Points of the grid over [0, 1 - 1e-7] that brackets the critical-point band edge.
 _BAND_SCAN_POINTS = 1200
-
-#: Interior points per bracket and round of the band-edge multisection; a
-#: round narrows each bracket by a factor of ``_SECTION_POINTS + 1``.
-_SECTION_POINTS = 16
-
-#: Round cap of the multisection: 17**49 > 2**200, the narrowing of 200
-#: bisection steps, so a bracket stuck between adjacent doubles still ends.
-_SECTION_ROUNDS = 49
 
 
 def _point_count(v, name: str) -> int:
@@ -301,44 +295,6 @@ def region_nonnegative(
     m, x = grid_centers(grid)
     vals = fn(params, m[:, None], x[None, :])
     return np.asarray(vals >= -float(tol))
-
-
-def _bisect_crossings(fn, lo, hi, f_hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Narrow every bracket with fn(lo) > 0 >= fn(hi) to width ``xtol``, together.
-
-    A multisection: each round places ``_SECTION_POINTS`` evenly spaced
-    interior points in every live bracket and evaluates all of them in one
-    ``fn`` call (``fn`` maps an array of points to values).  The new bracket
-    runs from the last point with fn > 0 before the first point with
-    fn <= 0 to that point.  Brackets may be descending (negative-m edges).
-    A point where fn is exactly 0 is returned as is, a bracket narrower than
-    ``xtol`` gives its midpoint, and after ``_SECTION_ROUNDS`` rounds every
-    bracket still live gives its midpoint too.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    out = np.where(f_hi == 0.0, hi, math.nan)
-    live = np.flatnonzero(f_hi != 0.0)
-    frac = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
-    for _ in range(_SECTION_ROUNDS):
-        done = np.abs(hi[live] - lo[live]) <= xtol
-        out[live[done]] = 0.5 * (lo[live[done]] + hi[live[done]])
-        live = live[~done]
-        if not live.size:
-            return out
-        a, b = lo[live], hi[live]
-        inner = a[:, None] + (b - a)[:, None] * frac
-        f = np.asarray(fn(inner.ravel()), dtype=float).reshape(inner.shape)
-        # each row: lo (fn > 0), the interior points, hi (fn < 0 while live)
-        pts = np.column_stack([a, inner, b])
-        f = np.column_stack([np.ones(live.size), f, -np.ones(live.size)])
-        j = np.argmax(f <= 0.0, axis=1)
-        r = np.arange(live.size)
-        lo[live], hi[live] = pts[r, j - 1], pts[r, j]
-        exact = f[r, j] == 0.0
-        out[live[exact]] = hi[live[exact]]
-        live = live[~exact]
-    out[live] = 0.5 * (lo[live] + hi[live])
-    return out
 
 
 def band_endpoints(

@@ -91,8 +91,8 @@ class CriticalPointRecord:
 
     ``index`` counts tangent-Hessian eigenvalues above the zero threshold, so
     index 0 is a local maximum (negative semidefinite up to the threshold);
-    ``m`` is the overlap with the planted direction; ``iters`` the Newton
-    iterations spent by the start that found it.
+    ``m`` is the overlap with the planted direction; ``iters`` the steps
+    spent by the Newton start, or the power or ascent run, that found it.
     """
 
     sigma: np.ndarray
@@ -435,6 +435,27 @@ def _newton_block(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, 
     return sigma, steps
 
 
+def _records(tensor: SpikedTensor, points: np.ndarray, iters) -> list[CriticalPointRecord]:
+    """The records of the rows of a (B, n) stack of final points, with their
+    ``iters`` (one per row).
+
+    Each row is contracted on its own, which gives its ``grad_norm`` and
+    ``f_value`` bit for bit as ``riemannian_grad`` and ``objective`` would;
+    the Morse indices of all rows come from one stacked tangent Hessian,
+    built from those contractions, and one ``eigvalsh``.
+    """
+    n = tensor.n
+    rows = [_contract_rows(tensor, sigma[None]) for sigma in points]
+    flats = np.array([flat[0] for flat, _, _, _ in rows]).reshape(-1, n, n)
+    f_vals = np.array([f_val[0] for _, _, f_val, _ in rows])
+    hess = _sphere_hess(tensor.k, flats, f_vals, tangent_basis(points))
+    index = np.count_nonzero(np.linalg.eigvalsh(hess) > INDEX_ZERO_THRESHOLD, axis=-1)
+    return [CriticalPointRecord(sigma=sigma.copy(), f_value=float(f_val[0]),
+                                grad_norm=float(np.linalg.norm(grad[0])), index=i,
+                                m=float(np.dot(sigma, tensor.u)), iters=it)
+            for sigma, (_, _, f_val, grad), i, it in zip(points, rows, index.tolist(), iters)]
+
+
 def find_critical_points(
     tensor: SpikedTensor,
     n_starts: int = 1000,
@@ -446,46 +467,34 @@ def find_critical_points(
     sequence of ints, as ``numpy.random.SeedSequence`` takes).  They are
     searched in blocks of a fixed size, all starts of a block at once, each
     by its own damped Newton iteration (see ``_newton_block``); the block
-    size moves the points only by rounding.  Each converged point is
-    contracted once more on its own, which gives its ``grad_norm`` and
-    ``f_value`` bit for bit as ``riemannian_grad`` and ``objective`` would; a
-    point whose norm is not below 1e-10 counts as a failed start.  Converged
-    points are sorted by (overlap, value) and deduplicated at chord distance
-    1e-6, which also keeps them that far apart in angle since the chord is
-    the shorter (antipodes are distinct points: for odd k they carry opposite
-    values); the Morse indices of the kept points come from one stacked
-    tangent Hessian, built from that same contraction.
+    size moves the points only by rounding.  The converged points become
+    records through ``_records``; a point whose ``grad_norm`` is not below
+    1e-10 counts as a failed start.  Converged points are sorted by
+    (overlap, value) and deduplicated at chord distance 1e-6, which also
+    keeps them that far apart in angle since the chord is the shorter
+    (antipodes are distinct points: for odd k they carry opposite values).
     Returns (records, number of non-convergent starts).
     """
     if not isinstance(n_starts, (int, np.integer)) or isinstance(n_starts, bool) or n_starts < 1:
         raise ValueError(f"n_starts must be an integer >= 1 (not a bool), got {n_starts!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    found = []  # (m, f_value, sigma, grad_norm, iters, Y[sigma^(k-2)]) per converged start
+    points, iters = [], []  # the final point and accepted steps of each converged start
     for first in range(0, n_starts, _NEWTON_BLOCK):
         starts = rng.normal(size=(min(_NEWTON_BLOCK, n_starts - first), tensor.n))
         starts /= np.sqrt(np.vecdot(starts, starts))[:, None]
-        points, steps = _newton_block(tensor, starts)
-        for sigma, iters in zip(points[steps >= 0], steps[steps >= 0].tolist()):
-            flat, _, f_val, grad = _contract_rows(tensor, sigma[None])
-            grad_norm = float(np.linalg.norm(grad[0]))
-            if grad_norm < _NEWTON_TOL:
-                found.append((float(np.dot(sigma, tensor.u)), float(f_val[0]),
-                              sigma, grad_norm, iters, flat[0]))
-    found.sort(key=lambda point: point[:2])
+        ends, steps = _newton_block(tensor, starts)
+        points.append(ends[steps >= 0])
+        iters.extend(steps[steps >= 0].tolist())
+    found = [r for r in _records(tensor, np.concatenate(points), iters)
+             if r.grad_norm < _NEWTON_TOL]
+    found.sort(key=lambda r: (r.m, r.f_value))
     kept, sigmas = [], np.empty((len(found), tensor.n))
-    for point in found:
-        gap = sigmas[:len(kept)] - point[2]
+    for record in found:
+        gap = sigmas[:len(kept)] - record.sigma
         if np.all(np.sqrt(np.vecdot(gap, gap)) >= _DEDUP_CHORD):
-            sigmas[len(kept)] = point[2]
-            kept.append(point)
-    flats = np.array([point[5] for point in kept]).reshape(-1, tensor.n, tensor.n)
-    f_vals = np.array([point[1] for point in kept])
-    hess = _sphere_hess(tensor.k, flats, f_vals, tangent_basis(sigmas[:len(kept)]))
-    index = np.count_nonzero(np.linalg.eigvalsh(hess) > INDEX_ZERO_THRESHOLD, axis=-1)
-    records = [CriticalPointRecord(sigma=sigma.copy(), f_value=f_value, grad_norm=grad_norm,
-                                   index=i, m=m, iters=iters)
-               for (m, f_value, sigma, grad_norm, iters, _), i in zip(kept, index.tolist())]
-    return records, n_starts - len(found)
+            sigmas[len(kept)] = record.sigma
+            kept.append(record)
+    return kept, n_starts - len(found)
 
 
 def landscape_histogram(

@@ -22,6 +22,12 @@ which has a root in [m_critical, 1] iff ``lam >= lambda_critical(k)``.  That
 root, located by ``good_location_zero``, is where exponentially many
 well-correlated local maxima first appear; at lam = lambda_critical the root
 is a tangency at m = sqrt((k-2)/(k-1)).
+
+``_bisect_crossings`` is the package's one sign-change root finder: a
+batched multisection that narrows many brackets together, evaluating 16
+interior points of each per round in one call.  It locates this touch point
+here, and the critical-point and local-maximum band edges in
+:mod:`tensorlandscape.scan`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import ModelParams, _as_finite_array, _maybe_scalar, _sqrt_shifted_antideriv
+from .complexity import ModelParams, _as_finite_array, _maybe_scalar
 
 __all__ = [
     "ThresholdReport",
@@ -46,11 +52,17 @@ __all__ = [
     "threshold_report",
 ]
 
-#: absolute and relative x-tolerance and iteration cap for the bisection in
-#: good_location_zero (the relative one is 4 eps)
-_BISECT_XTOL = 1e-12
-_BISECT_RTOL = 4.0 * math.ulp(1.0)
-_BISECT_MAXITER = 200
+#: Interior points per bracket and round of the multisection
+#: ``_bisect_crossings``; a round narrows each bracket by a factor of
+#: ``_SECTION_POINTS + 1``.
+_SECTION_POINTS = 16
+
+#: Round cap of the multisection: 17**49 > 2**200, the narrowing of 200
+#: bisection steps, so a bracket stuck between adjacent doubles still ends.
+_SECTION_ROUNDS = 49
+
+#: Bracket width at which ``good_location_zero`` stops: a few ulp of 1.
+_ROOT_XTOL = 4.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +155,7 @@ def s_star_projection(params: ModelParams, m):
     """
     mm = _validate_hemisphere(m)
     if params.lam == 0.0:
-        return s_u(params, mm) if np.ndim(mm) else s_u(params, m)
+        return s_u(params, m)
     mc = m_critical(params)
     out = np.where(mm < mc, s_u(params, mm), s_g(params, mm))
     return _maybe_scalar(out)
@@ -152,11 +164,15 @@ def s_star_projection(params: ModelParams, m):
 def good_location_zero(params: ModelParams) -> float | None:
     """Overlap in [m_critical, 1] where the high-overlap complexity touches zero.
 
-    Solves m^(2k-4)(1-m^2) = 1/(2k lam^2) by bisection on the decreasing side
-    of the left-hand side.  Returns None when lam < lambda_critical(k) (no
-    solution); returns the tangency sqrt((k-2)/(k-1)) when lam sits exactly at
-    the critical SNR, where the root is double and sign-change bisection
-    would be ill-posed.
+    Solves m^(2k-4)(1-m^2) = 1/(2k lam^2) on the decreasing side of the
+    left-hand side, [sqrt((k-2)/(k-1)), 1], by the multisection
+    ``_bisect_crossings`` to a bracket a few ulp of 1 wide (about 12
+    rounds).  Above 1.001 lambda_critical(k) the root is within 2 ulp of 1
+    of the exact one; closer to the tangency it is only as good as its
+    conditioning allows.
+    Returns None when lam < lambda_critical(k) (no solution); returns the
+    tangency sqrt((k-2)/(k-1)) when lam sits exactly at the critical SNR,
+    where the root is double and a sign-change search would be ill-posed.
     """
     k, lam = params.k, params.lam
     if lam < lambda_critical(k):  # includes lam = 0: pure noise has no good zero
@@ -164,7 +180,7 @@ def good_location_zero(params: ModelParams) -> float | None:
 
     target = 1.0 / (2.0 * k * lam * lam)
 
-    def h(m: float) -> float:
+    def h(m):  # a float or an array of them
         return m ** (2 * k - 4) * (1.0 - m * m) - target
 
     # h is maximal at m_peak; for lam >= lambda_critical the root at or above
@@ -173,36 +189,45 @@ def good_location_zero(params: ModelParams) -> float | None:
     if h(m_peak) <= 0.0:
         # only possible (up to rounding) at lam = lambda_critical: tangency
         return m_peak
-    return _bisect(h, m_peak, 1.0)
+    return float(_bisect_crossings(h, [m_peak], [1.0], np.array([h(1.0)]), _ROOT_XTOL)[0])
 
 
-def _bisect(f, xa: float, xb: float) -> float:
-    """A root of the scalar f in [xa, xb], where f(xa) and f(xb) differ in sign.
+def _bisect_crossings(fn, lo, hi, f_hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Narrow every bracket with fn(lo) > 0 >= fn(hi) to width ``xtol``, together.
 
-    Halves the step dm and evaluates xm = xa + dm, keeping xa as the left end
-    while f(xm) has the sign of f(xa); stops at f(xm) = 0 or once
-    |dm| < _BISECT_XTOL + _BISECT_RTOL |xm|, and returns xm.  Step for step the
-    bracketing of ``scipy.optimize.bisect``, so it returns the same float.
-    Raises ValueError on a bracket without a sign change and RuntimeError
-    after _BISECT_MAXITER steps.
+    A multisection: each round places ``_SECTION_POINTS`` evenly spaced
+    interior points in every live bracket and evaluates all of them in one
+    ``fn`` call (``fn`` maps an array of points to values).  The new bracket
+    runs from the last point with fn > 0 before the first point with
+    fn <= 0 to that point.  Brackets may be descending (negative-m edges).
+    A point where fn is exactly 0 is returned as is, a bracket narrower than
+    ``xtol`` gives its midpoint, and after ``_SECTION_ROUNDS`` rounds every
+    bracket still live gives its midpoint too.
     """
-    fa, fb = f(xa), f(xb)
-    if fa * fb > 0.0:
-        raise ValueError(f"f({xa!r}) and f({xb!r}) must have different signs")
-    if fa == 0.0:
-        return xa
-    if fb == 0.0:
-        return xb
-    dm = xb - xa
-    for _ in range(_BISECT_MAXITER):
-        dm *= 0.5
-        xm = xa + dm
-        fm = f(xm)
-        if fm * fa >= 0.0:
-            xa = xm
-        if fm == 0.0 or abs(dm) < _BISECT_XTOL + _BISECT_RTOL * abs(xm):
-            return xm
-    raise RuntimeError(f"bisection did not converge in {_BISECT_MAXITER} steps")
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    out = np.where(f_hi == 0.0, hi, math.nan)
+    live = np.flatnonzero(f_hi != 0.0)
+    frac = np.arange(1, _SECTION_POINTS + 1) / (_SECTION_POINTS + 1)
+    for _ in range(_SECTION_ROUNDS):
+        done = np.abs(hi[live] - lo[live]) <= xtol
+        out[live[done]] = 0.5 * (lo[live[done]] + hi[live[done]])
+        live = live[~done]
+        if not live.size:
+            return out
+        a, b = lo[live], hi[live]
+        inner = a[:, None] + (b - a)[:, None] * frac
+        f = np.asarray(fn(inner.ravel()), dtype=float).reshape(inner.shape)
+        # each row: lo (fn > 0), the interior points, hi (fn < 0 while live)
+        pts = np.column_stack([a, inner, b])
+        f = np.column_stack([np.ones(live.size), f, -np.ones(live.size)])
+        j = np.argmax(f <= 0.0, axis=1)
+        r = np.arange(live.size)
+        lo[live], hi[live] = pts[r, j - 1], pts[r, j]
+        exact = f[r, j] == 0.0
+        out[live[exact]] = hi[live[exact]]
+        live = live[~exact]
+    out[live] = 0.5 * (lo[live] + hi[live])
+    return out
 
 
 def minimize_g(a: float, b: float) -> tuple[float, float]:

@@ -464,6 +464,20 @@ class TestLogCountPrefactor:
             scale = max(abs(float(gammaln(half))), abs(want))
             assert abs(log_count_prefactor(n, k) - want) <= 1e-14 * scale, n
 
+    @pytest.mark.parametrize("k", [3, 4, 8])
+    def test_matches_high_precision(self, k):
+        # within 4 ulp of the 50-digit value: the two terms that cancel at
+        # large n (both about 5000 at n = 2000) must not be subtracted
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for n in [*range(2, 2001), *range(2001, 20001, 97)]:
+                half = mpmath.mpf(n - 1) / 2
+                want = (mpmath.log(2) + half * mpmath.log(half / mpmath.e)
+                        - mpmath.loggamma(half)
+                        + mpmath.log(n / ((k - 1) * mpmath.e * mpmath.pi)) / 2)
+                tol = 4 * math.ulp(max(1.0, abs(float(want))))
+                assert abs(log_count_prefactor(n, k) - want) <= tol, n
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             log_count_prefactor(1, 3)

@@ -222,28 +222,52 @@ class TestGoodLocationZero:
         assert good_location_zero(params) > m_critical(params)
 
     @pytest.mark.parametrize("k", range(3, 9))
-    def test_matches_scipy_bisect_bit_for_bit(self, k):
-        for factor in (1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1 + 1e-3, 1.1, 1.5, 2.0, 10.0,
-                       1e2, 1e4, 1e6):
-            params = ModelParams(k, lambda_critical(k) * factor)
-            m_peak = math.sqrt((k - 2.0) / (k - 1.0))
-            assert zero_characteristic(params, m_peak) > 0.0  # a bracket, not the tangency
-            want = optimize.bisect(lambda m: zero_characteristic(params, m), m_peak, 1,
-                                   xtol=1e-12, maxiter=200)
-            assert good_location_zero(params) == want, factor
+    def test_matches_high_precision_root(self, k):
+        # within 4 ulp of 1 of a 60-digit bisection root of the same float lam;
+        # nearer the tangency the root is ill-conditioned, and
+        # test_root_satisfies_characteristic covers it
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for factor in (1 + 1e-3, 1.1, 1.5, 2.0, 10.0, 1e2, 1e4, 1e6):
+                lam = lambda_critical(k) * factor
+                target = 1 / (2 * k * mpmath.mpf(lam) ** 2)
+                lo, hi = mpmath.sqrt(mpmath.mpf(k - 2) / (k - 1)), mpmath.mpf(1)
+                for _ in range(220):
+                    mid = (lo + hi) / 2
+                    if mid ** (2 * k - 4) * (1 - mid * mid) > target:
+                        lo = mid
+                    else:
+                        hi = mid
+                err = abs(good_location_zero(ModelParams(k, lam)) - lo)
+                assert err <= 4 * math.ulp(1.0), (factor, float(err))
 
-    def test_bisect_rejects_a_bracket_without_sign_change(self):
-        with pytest.raises(ValueError, match="different signs"):
-            thresholds._bisect(lambda m: m - 2.0, 0.0, 1.0)
 
-    def test_bisect_raises_at_the_iteration_cap(self, monkeypatch):
-        monkeypatch.setattr(thresholds, "_BISECT_MAXITER", 5)
-        with pytest.raises(RuntimeError, match="5 steps"):
-            thresholds._bisect(lambda m: m - 1.0 / 3.0, 0.0, 1.0)
+class TestBisectCrossings:
+    def test_narrows_brackets_together(self):
+        # cos has roots pi/2 and 3 pi/2; the brackets run both ways, and each
+        # round evaluates all of them in one call
+        calls = []
 
-    def test_bisect_returns_an_endpoint_root(self):
-        assert thresholds._bisect(lambda m: m, 0.0, 1.0) == 0.0
-        assert thresholds._bisect(lambda m: m - 1.0, 0.0, 1.0) == 1.0
+        def fn(x):
+            calls.append(x.size)
+            return np.cos(x)
+
+        lo = np.array([0.0, 0.0, 2.0 * math.pi - 0.5, 1.2])
+        hi = np.array([2.0, -2.0, 4.0, 1.6])
+        roots = np.array([0.5, -0.5, 1.5, 0.5]) * math.pi
+        got = thresholds._bisect_crossings(fn, lo, hi, np.cos(hi), 1e-12)
+        assert np.all(np.abs(got - roots) <= 1e-12)
+        assert len(calls) <= 10 and calls[0] == 16 * lo.size
+
+    def test_exact_zeros_are_returned_as_is(self):
+        # fn is 0 on [0.4, 0.6]: the first round's point 7/17 hits it, and a
+        # zero at hi needs no round at all
+        def fn(x):
+            return np.where(x < 0.4, 0.4 - x, np.where(x > 0.6, 0.6 - x, 0.0))
+
+        got = thresholds._bisect_crossings(fn, [0.0, 0.0], [1.0, 0.5], np.array([-0.4, 0.0]),
+                                           1e-12)
+        assert got[0] == 7 / 17 and got[1] == 0.5
 
 
 class TestSStarProjection:

@@ -2,9 +2,10 @@
 
 Times ``band_endpoints`` for both surfaces at (k, lambda) = (3, 3) and
 (4, 1.7) with every BLAS/OpenMP thread variable set to 1, counts its
-``project_max_over_x`` and ``s_star_projection`` calls, and records the
-result under a label in a JSON file together with the machine (nproc, CPU,
-BLAS).  Run from the repository root:
+``project_max_over_x`` and ``s_star_projection`` calls, times the touch
+point ``good_location_zero`` that every band search also returns at the same
+(k, lambda), and records the result under a label in a JSON file together
+with the machine (nproc, CPU, BLAS).  Run from the repository root:
 
     python3 tools/bench_scan.py --label "this change"
     python3 tools/bench_scan.py --label parent --src ../parent/src
@@ -34,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_scan.json"
 #: timed runs per case, after one untimed run that counts calls and warms up
 REPEATS = 21
+#: calls per timed run of good_location_zero, which takes well under 1 ms
+ROOT_CALLS = 20
 CASES = ((3, 3.0), (4, 1.7))
 SURFACES = ("zero", "star")
 #: scan's names counted per band search: the numeric projection, and the
@@ -105,6 +108,25 @@ def measure() -> list[dict]:
     return rows
 
 
+def measure_touch_point() -> list[dict]:
+    from tensorlandscape import ModelParams, thresholds
+
+    rows = []
+    for k, lam in CASES:
+        params = ModelParams(k, lam)
+        m_star = thresholds.good_location_zero(params)  # warms up
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            for _ in range(ROOT_CALLS):
+                thresholds.good_location_zero(params)
+            times.append((time.perf_counter() - t0) / ROOT_CALLS)
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        rows.append({"k": k, "lam": lam, "median_s": median, "q1_s": q1, "q3_s": q3,
+                     "repeats": REPEATS, "calls_per_repeat": ROOT_CALLS, "m_star": m_star})
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this entry in the output")
@@ -113,7 +135,8 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
 
-    result = {"machine": machine(), "band_endpoints": measure()}
+    result = {"machine": machine(), "band_endpoints": measure(),
+              "good_location_zero": measure_touch_point()}
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data[args.label] = result
     OUT.write_text(json.dumps(data, indent=2) + "\n")
@@ -121,6 +144,9 @@ def main() -> None:
         print(f"{args.label}: k={row['k']} lam={row['lam']} {row['which']}: "
               f"{1e3 * row['median_s']:.1f} ms median, {row['projection_calls']} projections, "
               f"{row['star_projection_calls']} star projections")
+    for row in result["good_location_zero"]:
+        print(f"{args.label}: k={row['k']} lam={row['lam']} good_location_zero: "
+              f"{1e6 * row['median_s']:.0f} us median")
 
 
 if __name__ == "__main__":
