@@ -188,9 +188,8 @@ def cmd_grid(args) -> None:
     grid = GridSpec(m_min=args.m_min, m_max=args.m_max, m_steps=args.m_steps,
                     x_min=args.x_min, x_max=args.x_max, x_steps=args.x_steps)
     m, x = grid_centers(grid)
-    mm, xx = np.meshgrid(m, x, indexing="ij")
-    star = s_star(params, mm, xx)
-    zero = s_zero(params, mm, xx)
+    star = s_star(params, m[:, None], x[None, :])
+    zero = s_zero(params, m[:, None], x[None, :])
     lines = ["m,x,s_star,s_zero"]
     for i in range(m.size):
         for j in range(x.size):

@@ -25,7 +25,9 @@ Conventions used throughout:
   (it marks exponentially impossible regions) and +inf a legitimate value of
   the rate function.  No sentinel encodings.
 * every function broadcasts over numpy arrays and returns a Python float for
-  scalar input.
+  scalar input.  Inputs are not expanded up front: a term of one coordinate
+  is computed on that coordinate's array, and only terms of both take the
+  broadcast shape.
 * inputs must be finite; domain violations raise ValueError.
 """
 
@@ -125,7 +127,6 @@ def ldp_rate(theta, t):
     """
     th = _as_finite_array(theta, "theta")
     tt = _as_finite_array(t, "t")
-    th, tt = np.broadcast_arrays(th, tt)
     out = np.where(tt < 2.0, np.inf, 0.0)
 
     th_safe = np.where(th > 1.0, th, 2.0)
@@ -185,7 +186,6 @@ def _s_star_arrays(params: ModelParams, m, x) -> np.ndarray:
     if np.any(np.abs(mm) > 1.0):
         raise ValueError("overlap m must satisfy |m| <= 1")
     xx = _as_finite_array(x, "x")
-    mm, xx = np.broadcast_arrays(mm, xx)
 
     # |m| = 1 is exponentially unreachable: the (1-m^2)^((n-3)/2) area factor
     # kills the count.  Return -inf there without touching the log.
@@ -236,7 +236,6 @@ def j_spherical(x, theta):
         raise ValueError("j_spherical requires x >= 2")
     if np.any(th <= 0.0):
         raise ValueError("j_spherical requires theta > 0")
-    xx, th = np.broadcast_arrays(xx, th)
     low = (th <= 1.0) & (xx <= th + 1.0 / th)
     val = 0.5 * (th * xx - 1.0 - np.log(th) - phi_star(xx))
     return _maybe_scalar(np.where(low, 0.25 * th * th, val))

@@ -67,9 +67,9 @@ _ROOT_XTOL = 4.0 * math.ulp(1.0)
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Crossover overlap, critical SNR, and (if present) the zero-touch overlap."""
+    """Crossover overlap (None at lam = 0), critical SNR, zero-touch overlap (None below it)."""
 
-    m_crossover: float
+    m_crossover: float | None
     lambda_crit: float
     good_zero: float | None
 
@@ -282,9 +282,9 @@ def f_alpha(alpha: float, x):
 
 
 def threshold_report(params: ModelParams) -> ThresholdReport:
-    """Bundle m_critical, lambda_critical, and the zero-touch overlap (if any)."""
+    """Bundle m_critical (if lam > 0), lambda_critical, and the zero-touch overlap (if any)."""
     return ThresholdReport(
-        m_crossover=m_critical(params),
+        m_crossover=m_critical(params) if params.lam > 0.0 else None,
         lambda_crit=lambda_critical(params.k),
         good_zero=good_location_zero(params),
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tensorlandscape
-from tensorlandscape import ModelParams, cli, project_max_over_x, s_star, simulate
+from tensorlandscape import ModelParams, cli, project_max_over_x, s_star, s_zero, simulate
 from tensorlandscape.cli import main
 
 
@@ -63,11 +63,11 @@ class TestGrid:
         for r in rows:
             for tok in r:
                 assert roundtrips(tok)
-        # spot value agrees with the library
+        # every cell of both surfaces equals the library's scalar call
         params = ModelParams(3, 0.0)
-        i = 7
-        expect = float(s_star(params, m_col[i], x_col[i]))
-        assert float(rows[i][2]) == expect
+        for r, m, x in zip(rows, m_col, x_col):
+            assert float(r[2]) == s_star(params, m, x)
+            assert float(r[3]) == s_zero(params, m, x)
 
     def test_rejects_zero_steps(self, tmp_path):
         code = run(["grid", "--m-steps", 0, "--out", tmp_path / "g.csv"])

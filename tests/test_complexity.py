@@ -380,3 +380,22 @@ def test_broadcast_equals_scalar_calls(k, lam, ms, xs):
     ts = np.sqrt(2.0 * k / (k - 1.0)) * np.array(xs) / 10.0
     np.testing.assert_array_equal(ldp_rate(thetas[:, None], ts[None, :]),
                                   [[ldp_rate(a, b) for b in ts] for a in thetas])
+    # both j_spherical branches: theta in [0.01, 3.01], edge x in [2, 12]
+    edges = 2.0 + np.abs(np.array(xs)) / 1e4
+    strengths = 0.01 + 3.0 * np.abs(np.array(ms))
+    np.testing.assert_array_equal(j_spherical(edges[None, :], strengths[:, None]),
+                                  [[j_spherical(a, b) for a in edges] for b in strengths])
+
+
+def test_incompatible_shapes_raise():
+    # no function expands its inputs up front; the first term of both
+    # coordinates is where mismatched shapes must still fail
+    params = ModelParams(3, 1.5)
+    m, x = np.linspace(-0.5, 0.5, 3), np.linspace(2.5, 3.5, 4)
+    for fn in (s_star, s_zero):
+        with pytest.raises(ValueError):
+            fn(params, m, x)
+    with pytest.raises(ValueError):
+        ldp_rate(np.full(3, 1.5), np.full(4, 2.5))
+    with pytest.raises(ValueError):
+        j_spherical(np.full(4, 2.5), np.full(3, 0.5))

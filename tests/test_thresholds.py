@@ -356,3 +356,11 @@ class TestThresholdReport:
     def test_absent_good_zero(self):
         rep = threshold_report(ModelParams(3, 0.5))
         assert rep.good_zero is None
+
+    def test_absent_crossover_at_zero_snr(self):
+        # m_critical is undefined at lam = 0; the report says absent, as the
+        # thresholds command does, instead of raising
+        rep = threshold_report(ModelParams(3, 0.0))
+        assert rep.m_crossover is None
+        assert rep.good_zero is None
+        assert abs(rep.lambda_crit - lambda_critical(3)) == 0.0

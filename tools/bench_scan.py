@@ -1,11 +1,13 @@
-"""Per-layer baseline of the band search in ``tensorlandscape.scan``.
+"""Per-layer baselines of the closed-form surfaces and the band search.
 
 Times ``band_endpoints`` for both surfaces at (k, lambda) = (3, 3) and
 (4, 1.7) with every BLAS/OpenMP thread variable set to 1, counts its
 ``project_max_over_x`` and ``s_star_projection`` calls, times the touch
 point ``good_location_zero`` that every band search also returns at the same
-(k, lambda), and records the result under a label in a JSON file together
-with the machine (nproc, CPU, BLAS).  Run from the repository root:
+(k, lambda), times ``s_star`` and ``s_zero`` per call and per cell on the
+two shapes the zero band search passes them, and records the result under
+a label in a JSON file together with the machine (nproc, CPU, BLAS).  Run
+from the repository root:
 
     python3 tools/bench_scan.py --label "this change"
     python3 tools/bench_scan.py --label parent --src ../parent/src
@@ -35,13 +37,18 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_scan.json"
 #: timed runs per case, after one untimed run that counts calls and warms up
 REPEATS = 21
-#: calls per timed run of good_location_zero, which takes well under 1 ms
-ROOT_CALLS = 20
+#: calls per timed run of a case that takes well under 1 ms per call (the
+#: touch point, a surface)
+CALLS = 20
 CASES = ((3, 3.0), (4, 1.7))
 SURFACES = ("zero", "star")
 #: scan's names counted per band search: the numeric projection, and the
 #: closed-form star projection that places the critical-point band edges
 COUNTED = ("project_max_over_x", "s_star_projection")
+#: the zero band search's two kinds of surface call: a multisection round's
+#: coarse scan, 32 overlaps (16 per edge) against the 401-point x grid, and
+#: one golden-section step of those 32 brackets, one point each
+SURFACE_ROWS, SURFACE_COARSE = 32, 401
 
 
 def machine() -> dict:
@@ -108,6 +115,17 @@ def measure() -> list[dict]:
     return rows
 
 
+def per_call_quartiles(call) -> list[float]:
+    """Quartiles over REPEATS timed runs of the mean time of CALLS calls."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(CALLS):
+            call()
+        times.append((time.perf_counter() - t0) / CALLS)
+    return statistics.quantiles(times, n=4)
+
+
 def measure_touch_point() -> list[dict]:
     from tensorlandscape import ModelParams, thresholds
 
@@ -115,15 +133,33 @@ def measure_touch_point() -> list[dict]:
     for k, lam in CASES:
         params = ModelParams(k, lam)
         m_star = thresholds.good_location_zero(params)  # warms up
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            for _ in range(ROOT_CALLS):
-                thresholds.good_location_zero(params)
-            times.append((time.perf_counter() - t0) / ROOT_CALLS)
-        q1, median, q3 = statistics.quantiles(times, n=4)
+        q1, median, q3 = per_call_quartiles(lambda: thresholds.good_location_zero(params))
         rows.append({"k": k, "lam": lam, "median_s": median, "q1_s": q1, "q3_s": q3,
-                     "repeats": REPEATS, "calls_per_repeat": ROOT_CALLS, "m_star": m_star})
+                     "repeats": REPEATS, "calls_per_repeat": CALLS, "m_star": m_star})
+    return rows
+
+
+def measure_surfaces() -> list[dict]:
+    import numpy as np
+
+    from tensorlandscape import ModelParams, s_star, s_zero
+
+    m = np.linspace(-0.15, 0.15, SURFACE_ROWS)
+    rows = []
+    for k, lam in CASES:
+        params = ModelParams(k, lam)
+        x = np.linspace(-(lam + 3.0), lam + 3.0, SURFACE_COARSE)
+        shapes = {"coarse_scan": (m[:, None], x[None, :]),
+                  "golden_step": (m, np.linspace(1.0, 2.0, SURFACE_ROWS))}
+        for fn in (s_star, s_zero):
+            for shape, (mm, xx) in shapes.items():
+                cells = np.broadcast(mm, xx).size
+                fn(params, mm, xx)  # warms up
+                q1, median, q3 = per_call_quartiles(lambda: fn(params, mm, xx))
+                rows.append({"k": k, "lam": lam, "surface": fn.__name__, "shape": shape,
+                             "cells": cells, "median_s": median, "q1_s": q1, "q3_s": q3,
+                             "median_ns_per_cell": 1e9 * median / cells,
+                             "repeats": REPEATS, "calls_per_repeat": CALLS})
     return rows
 
 
@@ -136,7 +172,7 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
 
     result = {"machine": machine(), "band_endpoints": measure(),
-              "good_location_zero": measure_touch_point()}
+              "good_location_zero": measure_touch_point(), "surfaces": measure_surfaces()}
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data[args.label] = result
     OUT.write_text(json.dumps(data, indent=2) + "\n")
@@ -147,6 +183,10 @@ def main() -> None:
     for row in result["good_location_zero"]:
         print(f"{args.label}: k={row['k']} lam={row['lam']} good_location_zero: "
               f"{1e6 * row['median_s']:.0f} us median")
+    for row in result["surfaces"]:
+        print(f"{args.label}: k={row['k']} lam={row['lam']} {row['surface']} "
+              f"{row['shape']} ({row['cells']} cells): {1e6 * row['median_s']:.0f} us "
+              f"median, {row['median_ns_per_cell']:.0f} ns per cell")
 
 
 if __name__ == "__main__":
