@@ -58,15 +58,19 @@ class ModelParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-            raise ValueError(f"tensor order k must be an integer, got {self.k!r}")
-        if self.k < 3:
-            raise ValueError(f"tensor order k must be >= 3, got {self.k}")
+        object.__setattr__(self, "k", _count(self.k, "k", 3))
         lam = float(self.lam)
         if not math.isfinite(lam) or lam < 0.0:
             raise ValueError(f"signal-to-noise lam must be finite and >= 0, got {self.lam!r}")
-        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "lam", lam)
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int, if it is an integer >= ``low`` (a bool is not):
+    the one rule for every count the package takes."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be >= {low} and an integer (not a bool), got {value!r}")
+    return int(value)
 
 
 def _as_finite_array(x, name: str) -> np.ndarray:

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import ModelParams, _s_star_without_phi, t_of_x, theta_of_m
+from .complexity import ModelParams, _count, _s_star_without_phi, t_of_x, theta_of_m
 
 __all__ = [
     "McEstimate",
@@ -79,8 +79,7 @@ class McEstimate:
     max_share: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        object.__setattr__(self, "n_samples", _count(self.n_samples, "n_samples", 1))
         if not self.std_error >= 0.0:
             raise ValueError("std_error must be >= 0")
 
@@ -167,6 +166,7 @@ def log_count_prefactor(n: int, k: int) -> float:
 
     log 2 + ((n-1)/2) log((n-1)/(2e)) - log Gamma((n-1)/2)
     + (1/2) log(n / ((k-1) e pi)).  Exponentially trivial: (1/n)|log| -> 0.
+    ``n`` must be an integer >= 2 and ``k`` one >= 3 (neither a bool).
 
     With h = (n-1)/2, the terms h log(h/e) and log Gamma(h) nearly cancel
     (both about 5000 at n = 2000), so their difference is never formed by
@@ -175,10 +175,7 @@ def log_count_prefactor(n: int, k: int) -> float:
     whose first omitted term is below 2e-16 there, and below 16 it is
     log(h^h e^-h / Gamma(h)).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    n, k = _count(n, "n", 2), _count(k, "k", 3)
     half = 0.5 * (n - 1.0)
     if half >= 16.0:
         r = 1.0 / (half * half)
@@ -219,8 +216,10 @@ def crt_expected(
     for name, value, low in (("n", n, 3), ("n_samples", n_samples, 2),
                              ("m_steps", m_steps, 1), ("x_steps", x_steps, 1),
                              ("n_threads", n_threads, 1)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-            raise ValueError(f"{name} must be >= {low} and an integer (not a bool), got {value!r}")
+        _count(value, name, low)
+    for name, interval in (("m_interval", m_interval), ("x_interval", x_interval)):
+        if not np.all(np.isfinite(np.asarray(interval, dtype=float))):
+            raise ValueError(f"{name} bounds must be finite, got {interval!r}")
     if which not in ("star", "zero"):
         raise ValueError(f"which must be 'star' or 'zero', got {which!r}")
     m_lo = max(float(m_interval[0]), -_M_CLIP)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import ModelParams, s_star, s_zero
+from .complexity import ModelParams, _count, s_star, s_zero
 from .thresholds import _bisect_crossings, good_location_zero, s_star_projection
 
 __all__ = [
@@ -64,13 +64,6 @@ _M_SEARCH = (-1.0 + 1e-9, 1.0 - 1e-9)
 _BAND_SCAN_POINTS = 1200
 
 
-def _point_count(v, name: str) -> int:
-    """``v`` as an int, if it is an integer >= 2 (a bool is not)."""
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 2:
-        raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
-    return int(v)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular (m, x) grid: bounds plus cell counts along each axis.
@@ -97,7 +90,7 @@ class GridSpec:
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
         for name in ("m_steps", "x_steps"):
-            object.__setattr__(self, name, _point_count(getattr(self, name), name))
+            object.__setattr__(self, name, _count(getattr(self, name), name, 2))
 
 
 @dataclass(frozen=True)
@@ -207,7 +200,7 @@ def _project_rows(f, fixed, lo: float, hi: float, coarse: int) -> ProjectionResu
     fixed = np.asarray(fixed, dtype=float)
     if fixed.ndim > 1:
         raise ValueError("the fixed coordinate must be a scalar or a 1-D array")
-    coarse = _point_count(coarse, "coarse")
+    coarse = _count(coarse, "coarse", 2)
     rows = fixed.reshape(-1)
     us = np.linspace(lo, hi, coarse)
     args = np.full(rows.shape, math.nan)

@@ -20,7 +20,9 @@ with their Morse index by damped (Levenberg-Marquardt) Newton steps on
 a stack of one) and gives Y[x^(k-2)], Y[x^(k-1)], f and the sphere gradient
 for each row.  The kernel reads a packed copy of the tensor that keeps only
 the upper triangle of its last two axes, half the bytes of the dense array,
-made on the first contraction and kept with the tensor.
+made on the first contraction and kept with the tensor.  ``objective``,
+``riemannian_grad`` and ``riemannian_hess`` take a unit sigma (norm within
+1e-12 of 1) and raise ValueError for any other.
 
 Dense storage keeps the code transparent; it is meant for desk-scale
 dimensions, not production tensor decomposition: n^k floats, plus
@@ -36,6 +38,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .complexity import ModelParams, _count
 
 __all__ = [
     "SpikedTensor",
@@ -143,47 +147,42 @@ def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray, seed: int) -> 
 
     The symmetrization averages G over all k! index-position permutations;
     an entry with all-distinct indices then has variance 1/(2n k!), and
-    <Y - E Y, sigma^(x)k> ~ N(0, 1/(2n)) for every unit sigma.
+    <Y - E Y, sigma^(x)k> ~ N(0, 1/(2n)) for every unit sigma.  ``n`` must
+    be an integer >= 2 and ``k`` one >= 3 (neither a bool), and ``lam``
+    finite and >= 0, as ``ModelParams`` requires.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError("lam must be finite and >= 0")
+    n, params = _count(n, "n", 2), ModelParams(k, lam)
     u = _check_unit(u, "u")
     if u.shape[0] != n:
         raise ValueError("u must have length n")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # built in place, with two tensor-sized temporaries at most; bit for bit
     # lam R + sym(G) / sqrt(2n), as addition and multiplication commute
-    data = _symmetrize(rng.normal(size=(n,) * k))
+    data = _symmetrize(rng.normal(size=(n,) * params.k))
     data /= math.sqrt(2.0 * n)
-    signal = _rank_one(u, k)
-    signal *= lam
+    signal = _rank_one(u, params.k)
+    signal *= params.lam
     data += signal
     data.flags.writeable = False  # the packed copy would not see a write
-    return SpikedTensor(n=n, k=k, u=u.copy(), data=data)
+    return SpikedTensor(n=n, k=params.k, u=u.copy(), data=data)
 
 
 def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
     """The pure signal lam u^(x)k; the landscape every algorithm should ace.
 
-    lam must be finite and > 0: at lam = 0 the tensor is zero and every
-    point of the sphere is critical.
+    ``n`` must be an integer >= 2 and ``k`` one >= 3 (neither a bool), and
+    ``lam`` finite and > 0: at lam = 0 the tensor is zero and every point of
+    the sphere is critical.
     """
-    if n < 2 or k < 3:
-        raise ValueError("need n >= 2 and k >= 3")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValueError("lam must be finite and > 0")
+    n, params = _count(n, "n", 2), ModelParams(k, lam)
+    if params.lam == 0.0:
+        raise ValueError("lam must be > 0")
     u = _check_unit(u, "u")
     if u.shape[0] != n:
         raise ValueError("u must have length n")
-    data = lam * _rank_one(u, k)
+    data = params.lam * _rank_one(u, params.k)
     data.flags.writeable = False
-    return SpikedTensor(n=n, k=k, u=u.copy(), data=data)
+    return SpikedTensor(n=n, k=params.k, u=u.copy(), data=data)
 
 
 @functools.lru_cache(maxsize=8)
@@ -220,7 +219,7 @@ def _contract_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...
 
 def objective(tensor: SpikedTensor, sigma: np.ndarray) -> float:
     """f(sigma) = <Y, sigma^(x)k> for unit sigma."""
-    return float(_contract_rows(tensor, np.asarray(sigma, dtype=float)[None])[2][0])
+    return float(_contract_rows(tensor, _check_unit(sigma, "sigma")[None])[2][0])
 
 
 def tangent_basis(sigma: np.ndarray) -> np.ndarray:
@@ -259,7 +258,7 @@ def _sphere_hess(k: int, flat: np.ndarray, f_val, basis: np.ndarray) -> np.ndarr
 
 def riemannian_grad(tensor: SpikedTensor, sigma: np.ndarray) -> np.ndarray:
     """Sphere gradient of f at unit sigma: k P_orth Y[sigma^(k-1)], an n-vector."""
-    return _contract_rows(tensor, np.asarray(sigma, dtype=float)[None])[3][0]
+    return _contract_rows(tensor, _check_unit(sigma, "sigma")[None])[3][0]
 
 
 def riemannian_hess(
@@ -272,7 +271,7 @@ def riemannian_hess(
     defaults to ``tangent_basis(sigma)``; pass an explicit one to study
     specific tangent directions (e.g. the spike direction).
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = _check_unit(sigma, "sigma")
     flat, _, f_val, _ = _contract_rows(tensor, sigma[None])
     if basis is None:
         basis = tangent_basis(sigma)
@@ -304,8 +303,7 @@ def _shifted_power(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int, tol
     the step; the run ends after 60 tries.  Stops once |grad f| < tol,
     checked before each step, or after ``max_iters`` steps.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    max_iters = _count(max_iters, "max_iters", 1)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and > 0")
     sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
@@ -340,8 +338,8 @@ def power_iteration(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int = 5
     ``max_iters`` steps; returns (sigma, steps taken).  Raises
     DegenerateIterateError on a zero contraction (e.g. a noiseless tensor
     contracted orthogonally to its spike, whose orthogonal sphere is an
-    invariant set the iteration cannot leave).  ``max_iters`` must be >= 1
-    and ``tol`` finite and > 0.
+    invariant set the iteration cannot leave).  ``max_iters`` must be an
+    integer >= 1 (not a bool) and ``tol`` finite and > 0.
     """
     sigma, trace = _shifted_power(tensor, sigma0, max_iters, tol, shifted=False)
     return sigma, trace.iters
@@ -356,7 +354,8 @@ def gradient_ascent(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int = 2
     Stops once |grad f| < ``tol`` (checked before each step); running out of
     iterations is reported via the trace, not raised.  One contraction per
     point gives both f and the gradient.  Raises DegenerateIterateError on a
-    zero contraction.  ``max_iters`` must be >= 1 and ``tol`` finite and > 0.
+    zero contraction.  ``max_iters`` must be an integer >= 1 (not a bool)
+    and ``tol`` finite and > 0.
     """
     return _shifted_power(tensor, sigma0, max_iters, tol, shifted=True)
 
@@ -475,8 +474,7 @@ def find_critical_points(
     (antipodes are distinct points: for odd k they carry opposite values).
     Returns (records, number of non-convergent starts).
     """
-    if not isinstance(n_starts, (int, np.integer)) or isinstance(n_starts, bool) or n_starts < 1:
-        raise ValueError(f"n_starts must be an integer >= 1 (not a bool), got {n_starts!r}")
+    n_starts = _count(n_starts, "n_starts", 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     points, iters = [], []  # the final point and accepted steps of each converged start
     for first in range(0, n_starts, _NEWTON_BLOCK):
@@ -507,9 +505,11 @@ def landscape_histogram(
     Only records with Morse index 0 are binned.  The overlap axis spans
     [-1, 1]; the value axis spans the values of all supplied records (padded),
     so an empty local-max subset still yields a well-defined zero histogram.
+    ``m_bins`` and ``f_bins`` must be integers >= 1 (not bools).
     """
     if not records:
         raise ValueError("landscape_histogram needs a nonempty record list")
+    m_bins, f_bins = _count(m_bins, "m_bins", 1), _count(f_bins, "f_bins", 1)
     f_all = [r.f_value for r in records]
     span = max(max(f_all) - min(f_all), 1e-12)
     f_range = (min(f_all) - 0.05 * span, max(f_all) + 0.05 * span)

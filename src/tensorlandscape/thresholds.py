@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import ModelParams, _as_finite_array, _maybe_scalar
+from .complexity import ModelParams, _as_finite_array, _count, _maybe_scalar
 
 __all__ = [
     "ThresholdReport",
@@ -91,8 +91,7 @@ def lambda_critical(k: int) -> float:
 
     sqrt((k-1)^(k-1) / (2k (k-2)^(k-2))).  For k = 3 this is sqrt(2/3).
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 3:
-        raise ValueError(f"tensor order k must be an integer >= 3, got {k!r}")
+    k = _count(k, "k", 3)
     return math.sqrt((k - 1.0) ** (k - 1) / (2.0 * k * (k - 2.0) ** (k - 2)))
 
 

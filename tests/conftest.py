@@ -1,5 +1,6 @@
-"""Fixtures shared by every test module."""
+"""Fixtures and helpers shared by every test module."""
 
+import numpy as np
 import pytest
 
 try:
@@ -24,3 +25,9 @@ def mpmath_precision_unchanged():
     if after != before:
         mpmath.mp.dps = before
         pytest.fail(f"the test left mpmath.mp.dps at {after}, it was {before}")
+
+
+def not_counts(low):
+    """Values a count whose minimum is ``low`` must reject: one below the
+    minimum, a fraction, a bool, an integral float and None."""
+    return [low - 1, 2.5, True, np.float64(3.0), None]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,19 @@ class TestOracle:
         out = tmp_path / "o.csv"
         assert run(self.ARGS + ["--samples", samples, "--out", out]) == 2
         assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound, name", [
+        ("--x-min=-inf", "x_interval"), ("--x-max=nan", "x_interval"),
+        ("--m-min=-inf", "m_interval"),
+    ])
+    def test_rejects_nonfinite_window_bound(self, tmp_path, capsys, bound, name):
+        # named, and without a floating-point warning on the way
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(self.ARGS + [bound, "--out", out]) == 2
+        assert f"error: {name} bounds must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_grid_steps_below_one(self, tmp_path, capsys):

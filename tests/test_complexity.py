@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from conftest import not_counts
 from tensorlandscape import (
     ModelParams,
     j_spherical,
@@ -43,6 +44,9 @@ class TestModelParams:
             ModelParams(3, float("inf"))
         with pytest.raises(ValueError):
             ModelParams(3.5, 1.0)
+        for k in not_counts(3):
+            with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
+                ModelParams(k, 1.0)
 
     def test_landscape_point_domain(self):
         # the surfaces take any point with |m| <= 1 and finite x, and no other

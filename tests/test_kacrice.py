@@ -14,6 +14,7 @@ each sample's (m, x) grid that ``_log_totals`` factors per x column.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
+from conftest import not_counts
+from tensorlandscape import kacrice
 from tensorlandscape import (
     ModelParams,
     McEstimate,
@@ -445,6 +448,11 @@ class TestMcHealth:
         est = McEstimate(mean=1.0, std_error=0.1, n_samples=10)
         assert est.ess_ratio is None and est.max_share is None
 
+    def test_sample_count_is_a_count(self):
+        for n_samples in not_counts(1):
+            with pytest.raises(ValueError, match="^n_samples must be >= 1 and an integer"):
+                McEstimate(mean=1.0, std_error=0.1, n_samples=n_samples)
+
 
 class TestLogCountPrefactor:
     def test_exponentially_trivial(self):
@@ -479,10 +487,12 @@ class TestLogCountPrefactor:
                 assert abs(log_count_prefactor(n, k) - want) <= tol, n
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            log_count_prefactor(1, 3)
-        with pytest.raises(ValueError):
-            log_count_prefactor(10, 2)
+        for n in not_counts(2):
+            with pytest.raises(ValueError, match="^n must be >= 2 and an integer"):
+                log_count_prefactor(n, 3)
+        for k in not_counts(3):
+            with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
+                log_count_prefactor(10, k)
 
 
 class TestCrtExpected:
@@ -569,10 +579,31 @@ class TestCrtExpected:
             crt_expected(params, 5, m_interval=(0.9995, 0.9999))
         with pytest.raises(ValueError):
             crt_expected(params, 5, x_interval=(1.0, 1.0))
-        # a thread count is an integer >= 1, not a bool, and the error names it
-        for threads in (True, 2.5, None):
-            with pytest.raises(ValueError, match="^n_threads must be"):
-                crt_expected(params, 5, n_samples=2, n_threads=threads)
+        # every count is an integer >= its minimum, not a bool, and the
+        # error names it
+        for name, low in (("n", 3), ("n_samples", 2), ("m_steps", 1), ("x_steps", 1),
+                          ("n_threads", 1)):
+            for value in not_counts(low):
+                args = dict(n=5, n_samples=2, m_steps=2, x_steps=2) | {name: value}
+                with pytest.raises(ValueError, match=f"^{name} must be >= {low} and an integer"):
+                    crt_expected(params, **args)
+
+    @pytest.mark.parametrize("name, interval", [
+        ("m_interval", (-math.inf, 0.5)), ("m_interval", (-0.5, math.nan)),
+        ("x_interval", (-math.inf, 3.0)), ("x_interval", (-3.0, math.nan)),
+        ("x_interval", (math.nan, math.inf)),
+    ])
+    def test_rejects_nonfinite_interval_bounds_at_entry(self, monkeypatch, name, interval):
+        # named in the error before any grid is built, and without a
+        # floating-point warning on the way
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(kacrice, "_count_grid", no_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} bounds must be finite"):
+                crt_expected(ModelParams(3, 0.0), 5, n_samples=2, **{name: interval})
 
     def test_growth_rate_large_n(self):
         # lambda = 0 at n in the hundreds: the slope of log E[count] is

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import not_counts
 from tensorlandscape import scan
 from tensorlandscape import (
     GridSpec,
@@ -32,10 +33,12 @@ class TestGridSpec:
             GridSpec(m_min=-1.2, m_max=0.4, x_min=-3, x_max=3, m_steps=10, x_steps=10)
         with pytest.raises(ValueError):
             GridSpec(m_min=-0.9, m_max=0.9, x_min=3, x_max=-3, m_steps=10, x_steps=10)
-        with pytest.raises(ValueError):
-            GridSpec(m_min=-0.9, m_max=0.9, x_min=-3, x_max=3, m_steps=0, x_steps=10)
-        with pytest.raises(ValueError):
-            GridSpec(m_min=-0.9, m_max=0.9, x_min=-3, x_max=3, m_steps=10, x_steps=1)
+        # each step count is an integer >= 2, not a bool, and the error names it
+        for name in ("m_steps", "x_steps"):
+            for value in [0] + not_counts(2):
+                steps = dict(m_steps=10, x_steps=10) | {name: value}
+                with pytest.raises(ValueError, match=f"^{name} must be >= 2 and an integer"):
+                    GridSpec(m_min=-0.9, m_max=0.9, x_min=-3, x_max=3, **steps)
 
     def test_centers_are_midpoints(self):
         grid = GridSpec(m_min=-1.0, m_max=1.0, x_min=0.0, x_max=2.0,
@@ -83,10 +86,10 @@ class TestProjectOverX:
         with pytest.raises(ValueError):
             project_max_over_x(params, 1.0, "star")
 
-    @pytest.mark.parametrize("coarse", [1, 0, -3, 2.0, 11.5, True, None])
+    @pytest.mark.parametrize("coarse", [0, -3, 2.0, 11.5, False] + not_counts(2))
     @pytest.mark.parametrize("project", [project_max_over_x, project_max_over_m])
     def test_rejects_bad_coarse(self, project, coarse):
-        with pytest.raises(ValueError, match="coarse"):
+        with pytest.raises(ValueError, match="^coarse must be >= 2 and an integer"):
             project(ModelParams(3, 3.0), 0.1, "star", coarse=coarse)
 
     def test_rejects_unknown_surface(self):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import not_counts
 from tensorlandscape import (
     DegenerateIterateError,
     SpikedTensor,
@@ -190,6 +191,15 @@ class TestMakeSpikedTensor:
             make_spiked_tensor(3, 3, 1.0, 2.0 * u, seed=0)
         with pytest.raises(ValueError):
             make_spiked_tensor(4, 3, 1.0, u, seed=0)
+        # n and k are counts for both builders, and the error names them
+        for build in (lambda n, k: make_spiked_tensor(n, k, 1.0, u, seed=0),
+                      lambda n, k: noiseless_tensor(n, k, 1.0, u)):
+            for n in not_counts(2):
+                with pytest.raises(ValueError, match="^n must be >= 2 and an integer"):
+                    build(n, 3)
+            for k in not_counts(3):
+                with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
+                    build(3, k)
 
 
 def dense_contraction(data, x):
@@ -468,8 +478,12 @@ class TestGradientAscent:
 @pytest.mark.parametrize("setting", [
     {"max_iters": 0}, {"max_iters": -5},
     {"tol": 0.0}, {"tol": -1e-8}, {"tol": math.nan}, {"tol": math.inf},
+    {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": np.float64(3.0)},
+    {"max_iters": None}, {"max_iters": math.nan}, {"max_iters": math.inf},
 ])
 def test_rejects_bad_iteration_setting(method, setting):
+    # the start converges within a few steps: a cap that is not a count must
+    # raise, not let the run end on its own (a nan cap never ends a run)
     tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match=next(iter(setting))):
         method(tensor, np.array([0.6, 0.8, 0.0]), **setting)
@@ -494,11 +508,25 @@ def test_noiseless_orthogonal_start_degenerates(method):
     lambda v: noiseless_tensor(3, 3, 1.0, v),
     lambda v: power_iteration(noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0])), v),
     lambda v: gradient_ascent(noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0])), v),
-], ids=["make_spiked_tensor", "noiseless_tensor", "power_iteration", "gradient_ascent"])
+    lambda v: objective(noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0])), v),
+    lambda v: riemannian_grad(noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0])), v),
+    lambda v: riemannian_hess(noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0])), v),
+], ids=["make_spiked_tensor", "noiseless_tensor", "power_iteration", "gradient_ascent",
+        "objective", "riemannian_grad", "riemannian_hess"])
 def test_nan_vector_is_not_a_unit_vector(entry):
     # a NaN norm compares False both ways; it must fail the unit check
     with pytest.raises(ValueError, match="unit norm"):
         entry(np.array([math.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("calculus", [objective, riemannian_grad, riemannian_hess])
+def test_calculus_rejects_a_point_off_the_sphere(calculus):
+    # f, its gradient and its Hessian on the sphere are defined at unit points
+    # only; off the sphere the formulas give numbers that are none of them
+    tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="^sigma must have unit norm"):
+        calculus(tensor, np.array([0.6, 0.8, 1e-3]))
+    calculus(tensor, np.array([0.6, 0.8, 0.0]))
 
 
 @pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
@@ -617,7 +645,7 @@ class TestFindCriticalPoints:
     @pytest.mark.parametrize("setting", [
         {"n_starts": 0}, {"n_starts": -3}, {"n_starts": 2.5}, {"n_starts": 2.0},
         {"n_starts": math.nan}, {"n_starts": math.inf}, {"n_starts": None},
-        {"n_starts": True}, {"n_starts": False},
+        {"n_starts": True}, {"n_starts": False}, {"n_starts": np.float64(3.0)},
     ])
     def test_rejects_bad_search_setting(self, setting):
         # a start count that is not an integer >= 1 (a bool is not) is named
@@ -655,6 +683,13 @@ class TestLandscapeHistogram:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             landscape_histogram([])
+
+    def test_bin_counts_are_counts(self):
+        records = [self._record(0.1, 0.5, 0)]
+        for name in ("m_bins", "f_bins"):
+            for bins in not_counts(1):
+                with pytest.raises(ValueError, match=f"^{name} must be >= 1 and an integer"):
+                    landscape_histogram(records, **{name: bins})
 
     def test_strong_snr_cluster_near_spike(self):
         # lam = 3 at n = 7: local maxima with overlap above 0.9 appear

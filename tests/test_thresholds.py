@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from conftest import not_counts
 from tensorlandscape import (
     ModelParams,
     ThresholdReport,
@@ -42,8 +43,9 @@ class TestLambdaCritical:
             assert abs(lambda_critical(k) - expected) < 1e-13
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            lambda_critical(2)
+        for k in not_counts(3):
+            with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
+                lambda_critical(k)
 
 
 class TestMCritical:
