@@ -4,9 +4,9 @@ Part 1 sweeps lambda and reports how often power iteration converges to the
 spike within a fixed iteration budget: the success rate jumps from 0 to 1
 across a narrow window far above the information-theoretic threshold.
 
-Part 2 inventories all critical points of one small instance by multi-start
-Newton and prints the (overlap, value, index) table with its local-maximum
-histogram row sums.
+Part 2 inventories all critical points of one small instance by homotopy
+continuation (``find_critical_points``) and prints the (overlap, value,
+index) table with its local-maximum histogram row sums.
 """
 
 import argparse
@@ -56,7 +56,7 @@ def main():
     u[0] = 1.0
     tensor = make_spiked_tensor(4, args.k, 1.5, u, seed=3)
     records, failures = find_critical_points(tensor, n_starts=800, seed=2)
-    print(f"  {len(records)} points ({failures} non-convergent starts)")
+    print(f"  {len(records)} points ({failures} failed paths or starts)")
     print(f"  {'m':>8} {'f':>9} index")
     for rec in records:
         print(f"  {rec.m:+8.4f} {rec.f_value:+9.5f} {rec.index:>3}")

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .complexity import ModelParams, s_star, s_zero
+from .complexity import ModelParams, _seed, s_star, s_zero
 from .kacrice import crt_expected, growth_rate_fit
 from .scan import (
     GridSpec,
@@ -172,7 +172,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
           help="stop once the sphere gradient norm is below this, power and "
                "ascent only (method-dependent default)")
     s.add("--n-starts", type=int, default=1000,
-          help="multistart count for method=newton (>= 1)")
+          help="Newton starts for method=newton, run past the homotopy's path "
+               "budget or where its certificate fails (>= 1)")
     s.add("--hist-out", default=None,
           help="also emit a 2-D local-maximum histogram CSV")
     s.add("--hist-bins", type=int, default=20)
@@ -277,7 +278,7 @@ def cmd_oracle(args) -> None:
 
 def _draw_tensor(args, seed: int):
     """The spike u and tensor of one seed, and the generator that drew u."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     u = rng.standard_normal(args.n)
     u /= np.linalg.norm(u)
     if args.noiseless:

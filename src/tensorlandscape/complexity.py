@@ -73,6 +73,17 @@ def _count(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _seed(seed) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of ``seed``, an integer >= 0 or a non-empty list
+    or tuple of them, each checked by ``_count``: None (OS entropy), a bool
+    or a float is a ValueError that names ``seed``."""
+    if not isinstance(seed, (list, tuple)):
+        return np.random.SeedSequence(_count(seed, "seed", 0))
+    if not seed:
+        raise ValueError("seed must be an integer >= 0 or a non-empty sequence of them")
+    return np.random.SeedSequence([_count(s, "seed", 0) for s in seed])
+
+
 def _as_finite_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):

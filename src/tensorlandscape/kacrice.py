@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import ModelParams, _count, _s_star_without_phi, t_of_x, theta_of_m
+from .complexity import ModelParams, _count, _s_star_without_phi, _seed, t_of_x, theta_of_m
 
 __all__ = [
     "McEstimate",
@@ -84,7 +84,7 @@ class McEstimate:
             raise ValueError("std_error must be >= 0")
 
 
-def _tridiagonal(seed: int, n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(seed, n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` rows of GOE(dim)'s tridiagonal model: diagonal a_i ~ N(0, 2/dim),
     squared off-diagonal b_i^2 ~ chi^2_(dim-i) / dim = Gamma((dim-i)/2, scale 2/dim)."""
     rng = np.random.default_rng(seed)
@@ -198,7 +198,7 @@ def crt_expected(
     m_steps: int = 60,
     x_steps: int = 60,
     n_samples: int = 500,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     which: str = "star",
     n_threads: int = 1,
 ) -> McEstimate:
@@ -212,11 +212,13 @@ def crt_expected(
     cannot represent, and the clipped sliver carries no count mass at the
     scales of interest.  ``n_threads`` must be an integer >= 1 (not a bool)
     and has no effect: identical seeds give bit-identical estimates.
+    ``seed`` is an integer >= 0 or a non-empty list or tuple of them.
     """
     for name, value, low in (("n", n, 3), ("n_samples", n_samples, 2),
                              ("m_steps", m_steps, 1), ("x_steps", x_steps, 1),
                              ("n_threads", n_threads, 1)):
         _count(value, name, low)
+    seed = _seed(seed)
     for name, interval in (("m_interval", m_interval), ("x_interval", x_interval)):
         if not np.all(np.isfinite(np.asarray(interval, dtype=float))):
             raise ValueError(f"{name} bounds must be finite, got {interval!r}")

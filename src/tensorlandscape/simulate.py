@@ -13,12 +13,16 @@ Provided tools: Riemannian gradient and Hessian of f on the unit sphere
 (the Hessian in an explicit orthonormal tangent basis, so its eigenvalues
 classify critical points), tensor power iteration and projected gradient
 ascent with backtracking (one shifted power loop with one stopping rule,
-|grad f| < tol), and a multi-start search that inventories critical points
-with their Morse index by damped (Levenberg-Marquardt) Newton steps on
-|grad f|^2 / 2.  All of them contract the tensor with one kernel,
-``_contract_rows``, which takes a (B, n) stack of points (a single point is
-a stack of one) and gives Y[x^(k-2)], Y[x^(k-1)], f and the sphere gradient
-for each row.  The kernel reads a packed copy of the tensor that keeps only
+|grad f| < tol), and an inventory of critical points with their Morse
+index.  The inventory tracks every path of a total-degree homotopy to the
+complex eigenvectors Y[x^(k-1)] = x, all paths at once, and certifies the
+result complete; where it cannot (past a path budget, or on a degenerate
+tensor), it also runs a multi-start search by damped (Levenberg-Marquardt)
+Newton steps on |grad f|^2 / 2.  All of them contract the tensor with one
+kernel, ``_contract``, which takes a (B, n) stack of points, real or
+complex (a single point is a stack of one), and gives Y[x^(k-2)] and
+Y[x^(k-1)] for each row; ``_contract_rows`` adds f and the sphere gradient
+of real rows.  The kernel reads a packed copy of the tensor that keeps only
 the upper triangle of its last two axes, half the bytes of the dense array,
 made on the first contraction and kept with the tensor.  ``objective``,
 ``riemannian_grad`` and ``riemannian_hess`` take a unit sigma (norm within
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import ModelParams, _count
+from .complexity import ModelParams, _count, _seed
 
 __all__ = [
     "SpikedTensor",
@@ -95,8 +99,9 @@ class CriticalPointRecord:
 
     ``index`` counts tangent-Hessian eigenvalues above the zero threshold, so
     index 0 is a local maximum (negative semidefinite up to the threshold);
-    ``m`` is the overlap with the planted direction; ``iters`` the steps
-    spent by the Newton start, or the power or ascent run, that found it.
+    ``m`` is the overlap with the planted direction; ``iters`` the accepted
+    steps of the homotopy path or Newton start, or the steps of the power or
+    ascent run, that found it.
     """
 
     sigma: np.ndarray
@@ -142,20 +147,22 @@ def _symmetrize(g: np.ndarray) -> np.ndarray:
     return acc
 
 
-def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray, seed: int) -> SpikedTensor:
+def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray,
+                       seed: int | Sequence[int]) -> SpikedTensor:
     """Draw Y = lam u^(x)k + sym(G)/sqrt(2n) with G iid standard Gaussian.
 
     The symmetrization averages G over all k! index-position permutations;
     an entry with all-distinct indices then has variance 1/(2n k!), and
     <Y - E Y, sigma^(x)k> ~ N(0, 1/(2n)) for every unit sigma.  ``n`` must
     be an integer >= 2 and ``k`` one >= 3 (neither a bool), and ``lam``
-    finite and >= 0, as ``ModelParams`` requires.
+    finite and >= 0, as ``ModelParams`` requires, and ``seed`` an integer
+    >= 0 or a non-empty list or tuple of them.
     """
     n, params = _count(n, "n", 2), ModelParams(k, lam)
     u = _check_unit(u, "u")
     if u.shape[0] != n:
         raise ValueError("u must have length n")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_seed(seed))
     # built in place, with two tensor-sized temporaries at most; bit for bit
     # lam R + sym(G) / sqrt(2n), as addition and multiplication commute
     data = _symmetrize(rng.normal(size=(n,) * params.k))
@@ -198,10 +205,9 @@ def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return positions, unpack
 
 
-def _contract_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For each row of a (B, n) array x: Y[x^(k-2)] of shape (B, n, n),
-    w = Y[x^(k-1)] of shape (B, n), f = w . x of shape (B,) and the sphere
-    gradient of shape (B, n).
+def _contract(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a (B, n) array x, real or complex: Y[x^(k-2)] of shape
+    (B, n, n) and Y[x^(k-1)] of shape (B, n).
 
     Y[x^(k-2)] comes from the packed upper triangle of the tensor: one
     matrix product contracts its first index, k-3 einsums the next ones, and
@@ -212,8 +218,15 @@ def _contract_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...
     out = x @ packed.reshape(n, -1)
     for _ in range(tensor.k - 3):
         out = np.einsum("bjt,bj->bt", out.reshape(len(x), n, -1), x)
-    flat = out[:, _triangle(n)[1]]
-    w = np.einsum("bij,bj->bi", flat, x)
+    flat = np.take(out, _triangle(n)[1], axis=1)
+    return flat, np.einsum("bij,bj->bi", flat, x)
+
+
+def _contract_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each row of a real (B, n) array x: Y[x^(k-2)], w = Y[x^(k-1)],
+    f = w . x of shape (B,) and the sphere gradient of shape (B, n), from
+    one ``_contract``."""
+    flat, w = _contract(tensor, x)
     return flat, w, np.vecdot(w, x), _sphere_grad(tensor.k, w, x)
 
 
@@ -455,27 +468,29 @@ def _records(tensor: SpikedTensor, points: np.ndarray, iters) -> list[CriticalPo
             for sigma, (_, _, f_val, grad), i, it in zip(points, rows, index.tolist(), iters)]
 
 
-def find_critical_points(
-    tensor: SpikedTensor,
-    n_starts: int = 1000,
-    seed: int | Sequence[int] = 0,
-) -> tuple[list[CriticalPointRecord], int]:
-    """Multi-start Newton inventory of critical points.
+def _distinct(found: list[CriticalPointRecord], n: int) -> list[CriticalPointRecord]:
+    """``found`` sorted by (overlap, value), keeping each record whose point
+    is at least _DEDUP_CHORD in chord distance from every one kept before."""
+    kept, sigmas = [], np.empty((len(found), n))
+    for record in sorted(found, key=lambda r: (r.m, r.f_value)):
+        gap = sigmas[:len(kept)] - record.sigma
+        if np.all(np.sqrt(np.vecdot(gap, gap)) >= _DEDUP_CHORD):
+            sigmas[len(kept)] = record.sigma
+            kept.append(record)
+    return kept
 
-    Starts are uniform on the sphere, drawn from ``seed`` (an int or a
-    sequence of ints, as ``numpy.random.SeedSequence`` takes).  They are
-    searched in blocks of a fixed size, all starts of a block at once, each
-    by its own damped Newton iteration (see ``_newton_block``); the block
-    size moves the points only by rounding.  The converged points become
-    records through ``_records``; a point whose ``grad_norm`` is not below
-    1e-10 counts as a failed start.  Converged points are sorted by
-    (overlap, value) and deduplicated at chord distance 1e-6, which also
-    keeps them that far apart in angle since the chord is the shorter
-    (antipodes are distinct points: for odd k they carry opposite values).
-    Returns (records, number of non-convergent starts).
+
+def _multistart(tensor: SpikedTensor, n_starts: int,
+                seed) -> tuple[list[CriticalPointRecord], int]:
+    """Damped Newton from ``n_starts`` uniform starts drawn from ``seed``:
+    the distinct converged records and the number of starts that failed.
+
+    Starts are searched in blocks of _NEWTON_BLOCK, all starts of a block at
+    once (see ``_newton_block``); the block size moves the points only by
+    rounding.  A start fails if its search stalls or if its record's
+    ``grad_norm`` is not below _NEWTON_TOL.
     """
-    n_starts = _count(n_starts, "n_starts", 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     points, iters = [], []  # the final point and accepted steps of each converged start
     for first in range(0, n_starts, _NEWTON_BLOCK):
         starts = rng.normal(size=(min(_NEWTON_BLOCK, n_starts - first), tensor.n))
@@ -485,14 +500,194 @@ def find_critical_points(
         iters.extend(steps[steps >= 0].tolist())
     found = [r for r in _records(tensor, np.concatenate(points), iters)
              if r.grad_norm < _NEWTON_TOL]
-    found.sort(key=lambda r: (r.m, r.f_value))
-    kept, sigmas = [], np.empty((len(found), tensor.n))
-    for record in found:
-        gap = sigmas[:len(kept)] - record.sigma
-        if np.all(np.sqrt(np.vecdot(gap, gap)) >= _DEDUP_CHORD):
-            sigmas[len(kept)] = record.sigma
-            kept.append(record)
-    return kept, n_starts - len(found)
+    return _distinct(found, tensor.n), n_starts - len(found)
+
+
+#: the most paths, (k-1)^n, the homotopy tracks; past it only the multistart
+#: search runs.  Against the default 1,000 starts, the homotopy took up to
+#: twice as long at 1,024 paths and found every point (the starts missed 58
+#: of 310 at k = 3, n = 10), and 3-4 times as long at 2,048 (README).
+_PATH_BUDGET = 1024
+
+#: path tracking: the first step in s, the smallest step before a path fails,
+#: the most tries (accepted or not) a path takes, and the norm of x past
+#: which it has diverged
+_PATH_STEP, _PATH_MIN_STEP, _PATH_MAX_TRIES, _PATH_MAX_NORM = 0.05, 1e-9, 1000, 1e8
+
+
+def _homotopy_system(tensor: SpikedTensor, x: np.ndarray, s: np.ndarray, gamma: complex):
+    """H = (1 - s) gamma G + s F, its Jacobian in x and dH/ds at each row of
+    a complex (P, n) array x, at that row's s, with F(x) = Y[x^(k-1)] - x
+    and G_i(x) = x_i^(k-1) - 1."""
+    k, n = tensor.k, tensor.n
+    flat, w = _contract(tensor, x)
+    power = x ** (k - 2)
+    start, target = ((1.0 - s) * gamma)[:, None], s[:, None]
+    f, g = w - x, power * x - 1.0
+    jac = flat * ((k - 1.0) * s)[:, None, None]
+    jac.reshape(len(x), -1)[:, ::n + 1] += (k - 1.0) * start * power - target
+    return start * g + target * f, jac, f - gamma * g
+
+
+def _newton(tensor: SpikedTensor, x: np.ndarray, s: np.ndarray, gamma: complex):
+    """One Newton step on H(., s) from each row of x: the new rows, the norm
+    of each step, and the tangent dx/ds = -H_x^-1 H_s at the old rows."""
+    value, jac, ds = _homotopy_system(tensor, x, s, gamma)
+    sol = np.linalg.solve(jac, np.stack([value, ds], axis=-1))
+    return x - sol[..., 0], np.sqrt(np.vecdot(sol[..., 0], sol[..., 0]).real), -sol[..., 1]
+
+
+def _track(tensor: SpikedTensor, gamma: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Track every path of ``_homotopy_system`` from s = 0, where x_i runs
+    over the (k-1)-th roots of unity, to s = 1, all paths at once.
+
+    Each path has its own step in s: a fourth-order Runge-Kutta predictor on
+    dx/ds = -H_x^-1 H_s, then two Newton corrections at the new s.  The step
+    is accepted if the first correction is at most 1e-2 (1 + |x|), which
+    keeps a path from jumping to another, and the second at most 1e-4
+    (1 + |x|); the next step is then twice as long if the first correction
+    was at most 2.5e-4 (1 + |x|), and as long otherwise.  A rejected step is
+    retried at half the length.  A path fails once its step is below
+    _PATH_MIN_STEP, after _PATH_MAX_TRIES tries, or once |x| passes
+    _PATH_MAX_NORM.  The endpoints get three more Newton steps at s = 1, and
+    a path reaches s = 1 only if the last is at most 1e-10 (1 + |x|).
+    Returns the (P, n) endpoints, the accepted steps of each path and
+    whether each path reached s = 1.
+    """
+    k, n = tensor.k, tensor.n
+    x = np.exp(2j * np.pi / (k - 1) * np.indices((k - 1,) * n).reshape(n, -1).T)
+    ends, steps, done = x.copy(), np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
+    paths = np.arange(len(x))  # the live paths, and their s, step, tangent and tries
+    s, step, tries = np.zeros(len(x)), np.full(len(x), _PATH_STEP), np.zeros(len(x), dtype=int)
+    v = _newton(tensor, x, s, gamma)[2]
+
+    def velocity(x, s):  # the tangent alone: through _newton a track took 8 % longer
+        _, jac, ds = _homotopy_system(tensor, x, s, gamma)
+        return -np.linalg.solve(jac, ds[..., None])[..., 0]
+
+    while len(paths):
+        h = np.minimum(step, 1.0 - s)
+        mid, end = s + 0.5 * h, np.where(h < 1.0 - s, s + h, 1.0)
+        v2 = velocity(x + 0.5 * h[:, None] * v, mid)
+        v3 = velocity(x + 0.5 * h[:, None] * v2, mid)
+        v4 = velocity(x + h[:, None] * v3, end)
+        cand = x + (h / 6.0)[:, None] * (v + 2.0 * (v2 + v3) + v4)
+        cand, first, _ = _newton(tensor, cand, end, gamma)
+        cand, second, tangent = _newton(tensor, cand, end, gamma)
+        scale = 1.0 + np.sqrt(np.vecdot(cand, cand).real)
+        took = (second <= 1e-4 * scale) & (first <= 1e-2 * scale)
+        x[took], s[took], v[took] = cand[took], end[took], tangent[took]
+        steps[paths[took]] += 1
+        step = np.where(took, np.where(first <= 2.5e-4 * scale, 2.0 * h, h), 0.5 * h)
+        tries += 1
+        finished = took & (s == 1.0)
+        leave = finished | (step < _PATH_MIN_STEP) | (tries >= _PATH_MAX_TRIES) | (
+            took & ~(scale <= _PATH_MAX_NORM))
+        if leave.any():
+            ends[paths[leave]], done[paths[finished]] = x[leave], True
+            stay = ~leave
+            paths, x, s, step, v, tries = (a[stay] for a in (paths, x, s, step, v, tries))
+    one = np.ones(len(ends))
+    for _ in range(3):
+        ends, last, _ = _newton(tensor, ends, one, gamma)
+    return ends, steps, done & (last <= 1e-10 * (1.0 + np.linalg.norm(ends, axis=1)))
+
+
+def _all_distinct(x: np.ndarray, tol: float) -> bool:
+    """Whether every two rows of a complex (P, n) array are farther apart
+    than ``tol`` (1 + the larger norm), compared a block of rows at a time."""
+    sq = np.vecdot(x, x).real
+    for first in range(0, len(x), _NEWTON_BLOCK):
+        block = slice(first, first + _NEWTON_BLOCK)
+        gap = sq[block, None] + sq[None, :] - 2.0 * (x[block].conj() @ x.T).real
+        scale = 1.0 + np.sqrt(np.maximum(sq[block, None], sq[None, :]))
+        np.fill_diagonal(gap[:, first:], np.inf)
+        if not np.all(gap > (tol * scale) ** 2):
+            return False
+    return True
+
+
+def _homotopy(tensor: SpikedTensor, gamma: complex) -> tuple[list[CriticalPointRecord], int, bool]:
+    """The critical points at the real endpoints of ``_track``'s paths, the
+    number of paths that failed, and whether the inventory is certified
+    complete.
+
+    A real eigenvector sigma with eigenvalue lam = f(sigma) gives endpoints
+    x = c sigma with c^(k-2) lam = 1, so z = x / sqrt(x . x) (complex root)
+    is +-sigma; an endpoint is kept if z is real to 1e-8, and both +z and -z
+    are polished by ``_newton_block``, then deduplicated.  The certificate:
+    every path reached s = 1 with a finite endpoint, the endpoints are
+    pairwise distinct, every kept point polished to a record, the records'
+    sum of (-1)^index is 1 + (-1)^(n-1) (the Euler characteristic of the
+    sphere), for odd k each record pairs with its antipode (value -f, index
+    n - 1 - index), and the real pairs are at most ((k-1)^n - 1)/(k-2)
+    (Cartwright and Sturmfels 2013).
+    """
+    k, n = tensor.k, tensor.n
+    with np.errstate(all="ignore"):  # diverging paths overflow before they stop
+        try:
+            ends, steps, done = _track(tensor, gamma)
+        except np.linalg.LinAlgError:  # an exactly singular Jacobian
+            return [], (k - 1) ** n, False
+        nonzero = done & (np.linalg.norm(ends, axis=1) > 1e-8)  # x = 0 always solves F
+        z = ends[nonzero] / np.sqrt(np.sum(ends[nonzero] ** 2, axis=1))[:, None]
+    real = np.all(np.abs(z.imag) <= 1e-8, axis=1)
+    sigma = z.real[real] / np.linalg.norm(z.real[real], axis=1)[:, None]
+    polished, polish = _newton_block(tensor, np.concatenate([sigma, -sigma]))
+    iters = np.tile(steps[nonzero][real], 2)[polish >= 0].tolist()
+    found = [r for r in _records(tensor, polished[polish >= 0], iters)
+             if r.grad_norm < _NEWTON_TOL]
+    records = _distinct(found, n)
+    certified = (bool(done.all()) and len(found) == 2 * len(sigma)
+                 and _all_distinct(ends, 1e-6)
+                 and sum((-1) ** r.index for r in records) == 1 + (-1) ** (n - 1)
+                 and len(records) // 2 <= ((k - 1) ** n - 1) // (k - 2))
+    if certified and k % 2:
+        sigmas = np.array([r.sigma for r in records])
+        for r in records:
+            partner = records[int(np.argmin(np.linalg.norm(sigmas + r.sigma, axis=1)))]
+            certified &= bool(np.linalg.norm(partner.sigma + r.sigma) < _DEDUP_CHORD
+                              and abs(partner.f_value + r.f_value) <= 1e-9
+                              and partner.index == n - 1 - r.index)
+    return records, int(np.count_nonzero(~done)), certified
+
+
+def find_critical_points(
+    tensor: SpikedTensor,
+    n_starts: int = 1000,
+    seed: int | Sequence[int] = 0,
+) -> tuple[list[CriticalPointRecord], int]:
+    """Inventory of critical points: homotopy, with multistart Newton where it
+    cannot prove itself complete.
+
+    While the path count (k-1)^n is within _PATH_BUDGET, every complex
+    eigenvector x of Y[x^(k-1)] = x is found by tracking all paths of the
+    total-degree homotopy (1 - s) gamma G + s F at once (``_track``), with
+    gamma a random unit complex number drawn from ``seed``; the real ones
+    become records (``_homotopy``).  If the paths' completeness certificate
+    holds, those records are the inventory and the failure count is 0.
+    Otherwise, or past the budget, ``n_starts`` damped Newton starts drawn
+    from ``seed`` run as well (``_multistart``) and their records are
+    merged with the homotopy's; the failure count is then the number of
+    paths that did not reach s = 1 plus the number of starts that failed.
+
+    A record's ``iters`` is the accepted steps of the path (homotopy) or of
+    the Newton start (multistart) that found it.  Records have
+    ``grad_norm`` below 1e-10, are sorted by (overlap, value) and are at
+    least 1e-6 apart in chord distance, hence in angle (antipodes are
+    distinct points: for odd k they carry opposite values).  ``n_starts``
+    must be an integer >= 1 (not a bool) and ``seed`` an integer >= 0 or a
+    non-empty list or tuple of them.  Returns (records, failure count).
+    """
+    n_starts, seed = _count(n_starts, "n_starts", 1), _seed(seed)
+    records, failures = [], 0
+    if (tensor.k - 1) ** tensor.n <= _PATH_BUDGET:
+        angle = np.random.default_rng(seed.spawn(1)[0]).random()
+        records, failures, certified = _homotopy(tensor, complex(np.exp(2j * np.pi * angle)))
+        if certified:
+            return records, 0
+    more, failed = _multistart(tensor, n_starts, seed)
+    return _distinct(records + more, tensor.n), failures + failed
 
 
 def landscape_histogram(

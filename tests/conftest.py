@@ -31,3 +31,10 @@ def not_counts(low):
     """Values a count whose minimum is ``low`` must reject: one below the
     minimum, a fraction, a bool, an integral float and None."""
     return [low - 1, 2.5, True, np.float64(3.0), None]
+
+
+def not_seeds():
+    """Values a seed must reject: None (fresh OS entropy), a bool, a
+    negative integer, floats, a string, an empty sequence and sequences
+    holding any of these."""
+    return [None, True, -1, 2.5, np.float64(3.0), "3", [], (), [1, -1], [1, 2.5], (True,)]

@@ -271,9 +271,11 @@ class TestSimulate:
         assert len(hlines) == 1 + 5 * 5
         assert sum(int(line.split(",")[4]) for line in hlines[1:]) >= 2
 
-    def test_histogram_without_local_maxima_is_all_zero(self, tmp_path):
-        # one start that finds one index-1 saddle: the value axis spans that
-        # record and every bin is zero
+    def test_histogram_without_local_maxima_is_all_zero(self, tmp_path, monkeypatch):
+        # one multistart start (no homotopy path fits a zero budget) that
+        # finds one index-1 saddle: the value axis spans that record and
+        # every bin is zero
+        monkeypatch.setattr(simulate, "_PATH_BUDGET", 0)
         out = tmp_path / "newton.csv"
         hist = tmp_path / "hist.csv"
         code = run(["simulate", "--method", "newton", "--lambda", 1.5, "--n", 4,
@@ -288,9 +290,11 @@ class TestSimulate:
         assert all(line.split(",")[4] == "0" for line in hlines[1:])
         assert float(hlines[1].split(",")[2]) < f_value < float(hlines[-1].split(",")[3])
 
-    def test_no_converged_start_leaves_no_file(self, tmp_path, capsys):
-        # one start that does not converge: no record to histogram, exit 2,
-        # and neither output file is written
+    def test_no_converged_start_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # one multistart start (no homotopy path fits a zero budget) that
+        # does not converge: no record to histogram, exit 2, and neither
+        # output file is written
+        monkeypatch.setattr(simulate, "_PATH_BUDGET", 0)
         out = tmp_path / "newton.csv"
         hist = tmp_path / "hist.csv"
         code = run(["simulate", "--k", 3, "--lambda", 1.5, "--n", 4, "--n-starts", 1,
@@ -338,6 +342,15 @@ class TestSimulate:
                     flag, value, "--out", out])
         assert code == 2
         assert flag.split("-")[-1] in capsys.readouterr().err  # "iters" or "tol"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noiseless", [[], ["--noiseless"]])
+    def test_rejects_negative_seed(self, tmp_path, capsys, noiseless):
+        # the seed rule names the seed before any draw, for either tensor
+        out = tmp_path / "s.csv"
+        code = run(["simulate", "--seed", -1, "--n", 4, *noiseless, "--out", out])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["power", "ascent", "newton"])

@@ -16,7 +16,7 @@ DEMOS = [
      "star: 13.3333% of cells nonnegative"),
     ("count_growth.py", ["--n-list", "6,8,10", "--samples", "20"], "fitted growth rate"),
     ("recovery_sweep.py", ["--n", "8", "--seeds", "2", "--budget", "20"],
-     "26 points (87 non-convergent starts)"),
+     "26 points (0 failed paths or starts)"),
 ]
 
 

@@ -22,7 +22,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
-from conftest import not_counts
+from conftest import not_counts, not_seeds
 from tensorlandscape import kacrice
 from tensorlandscape import (
     ModelParams,
@@ -566,6 +566,42 @@ class TestCrtExpected:
         tol0 = 5.0 * math.hypot(emp0_se, zero.std_error) + 0.05 * zero.mean
         assert abs(emp - star.mean) < tol
         assert abs(emp0 - zero.mean) < tol0
+
+    def test_matches_homotopy_counts(self):
+        # the oracle with exact inventories: every critical point of each
+        # sampled n = 4 tensor, found by the homotopy, counted in the window
+        n, k = 4, 3
+        u = np.zeros(n)
+        u[0] = 1.0
+        for lam in (0.0, 1.5):
+            totals, maxima = [], []
+            for d in range(80):
+                tensor = make_spiked_tensor(n, k, lam, u, seed=4000 + d)
+                records, failures = find_critical_points(tensor, n_starts=1, seed=d)
+                assert failures == 0
+                inside = [r for r in records if abs(r.m) <= 0.99 and abs(r.f_value) <= 3.0]
+                totals.append(len(inside))
+                maxima.append(sum(1 for r in inside if r.index == 0))
+            params = ModelParams(k, lam)
+            kwargs = dict(m_steps=80, x_steps=80, n_samples=5000, seed=5)
+            for which, counts in (("star", totals), ("zero", maxima)):
+                counts = np.asarray(counts, dtype=float)
+                emp, emp_se = counts.mean(), counts.std(ddof=1) / math.sqrt(counts.size)
+                est = crt_expected(params, n, which=which, **kwargs)
+                # test_matches_empirical_counts_small_n's rule
+                tol = 5.0 * math.hypot(emp_se, est.std_error) + 0.05 * est.mean
+                assert abs(emp - est.mean) < tol, (lam, which, emp, est.mean)
+
+    @pytest.mark.parametrize("seed", not_seeds())
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            crt_expected(ModelParams(3, 1.0), 5, n_samples=2, seed=seed)
+
+    def test_seed_forms_give_the_same_estimate(self):
+        params = ModelParams(3, 1.0)
+        for one, other in ((7, np.int64(7)), ([3, 4], (3, 4))):
+            assert (crt_expected(params, 5, n_samples=20, seed=one)
+                    == crt_expected(params, 5, n_samples=20, seed=other))
 
     def test_rejects_bad_arguments(self):
         params = ModelParams(3, 1.0)

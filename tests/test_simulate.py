@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import not_counts
+from conftest import not_counts, not_seeds
 from tensorlandscape import (
     DegenerateIterateError,
     SpikedTensor,
@@ -200,6 +200,18 @@ class TestMakeSpikedTensor:
             for k in not_counts(3):
                 with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
                     build(3, k)
+
+    @pytest.mark.parametrize("seed", not_seeds())
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            make_spiked_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]), seed=seed)
+
+    def test_seed_forms_draw_the_same_tensor(self):
+        # a NumPy integer is its int, a tuple its list
+        u = np.array([1.0, 0.0, 0.0])
+        for one, other in ((7, np.int64(7)), ([3, 4], (3, 4)), ([3, 4], [np.int32(3), 4])):
+            assert np.array_equal(make_spiked_tensor(3, 3, 1.0, u, seed=one).data,
+                                  make_spiked_tensor(3, 3, 1.0, u, seed=other).data)
 
 
 def dense_contraction(data, x):
@@ -625,17 +637,88 @@ class TestFindCriticalPoints:
         (4, 5, 200, [3]),
     ], ids=["readme", "inventory", "k4", "k5"])
     def test_matches_per_start_reference(self, n, k, starts, seeds):
-        # at k = 3 this is cli_tensor(n, 1.5, 0)
+        # the multistart engine; at k = 3 this is cli_tensor(n, 1.5, 0)
         tensor = make_spiked_tensor(n, k, 1.5, unit(np.random.default_rng(0), n), seed=0)
         for seed in seeds:
-            assert_same_search(find_critical_points(tensor, n_starts=starts, seed=seed),
+            assert_same_search(simulate._multistart(tensor, starts, seed),
                                reference_search(tensor, starts, seed))
 
     def test_block_size_moves_points_only_by_rounding(self, monkeypatch):
         tensor = cli_tensor(5, 1.5, 0)
-        default = find_critical_points(tensor, n_starts=100, seed=[0, 0])
+        default = simulate._multistart(tensor, 100, [0, 0])
         monkeypatch.setattr(simulate, "_NEWTON_BLOCK", 7)
-        assert_same_search(find_critical_points(tensor, n_starts=100, seed=[0, 0]), default)
+        assert_same_search(simulate._multistart(tensor, 100, [0, 0]), default)
+
+    @pytest.mark.parametrize("t, count", [(0, 30), (1, 18)])
+    def test_benchmark_inventory_is_complete_after_one_call(self, t, count):
+        # the benchmark's n = 5 inventory tensors with its first batch of
+        # 100 starts: the paths alone give the reference counts
+        records, failures = find_critical_points(cli_tensor(5, 1.5, t), n_starts=100,
+                                                 seed=[t, 0])
+        assert (len(records), failures) == (count, 0)
+        assert sum((-1) ** r.index for r in records) == 2
+        assert all(r.grad_norm < 1e-10 and r.iters >= 1 for r in records)
+
+    def test_inventory_count_is_even(self):
+        # 500 multistart starts find 21 points here: an odd count, so an
+        # antipodal partner is missing
+        u = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        records, failures = find_critical_points(make_spiked_tensor(5, 3, 1.5, u, seed=3),
+                                                 n_starts=500, seed=2)
+        assert (len(records), failures) == (22, 0)
+        assert sum((-1) ** r.index for r in records) == 2
+
+    @pytest.mark.parametrize("n, k", [(4, 4), (4, 5)])
+    def test_matches_long_multistart(self, n, k):
+        # the k = 4 and k = 5 tensors of test_matches_per_start_reference
+        tensor = make_spiked_tensor(n, k, 1.5, unit(np.random.default_rng(0), n), seed=0)
+        records, failures = find_critical_points(tensor, n_starts=1, seed=0)
+        reference, _ = simulate._multistart(tensor, 2000, 1)
+        assert failures == 0
+        assert [r.index for r in records] == [r.index for r in reference]
+        for rec, ref in zip(records, reference):  # the starts stop at |grad f| < 1e-10
+            np.testing.assert_allclose(rec.sigma, ref.sigma, rtol=0.0, atol=1e-8)
+
+    def test_inventory_does_not_depend_on_gamma(self):
+        # the README's newton example: each seed draws its own gamma, and
+        # every one tracks to the same 10 points
+        tensor = cli_tensor(4, 1.5, 0)
+        first, _ = find_critical_points(tensor, seed=1)
+        assert len(first) == 10
+        for seed in (2, [3, 4]):
+            again, failures = find_critical_points(tensor, seed=seed)
+            assert failures == 0 and len(again) == 10
+            for rec, ref in zip(again, first):
+                np.testing.assert_allclose(rec.sigma, ref.sigma, rtol=0.0, atol=1e-12)
+
+    def test_degenerate_tensor_falls_back_to_multistart(self, monkeypatch):
+        # the noiseless tensor's equator circle is a curve of critical
+        # points: paths meet on it, the certificate fails and the starts run
+        tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))
+        assert not simulate._homotopy(tensor, complex(np.exp(0.7j)))[2]
+        calls, multistart = [], simulate._multistart
+        monkeypatch.setattr(simulate, "_multistart",
+                            lambda *args: calls.append(args[1]) or multistart(*args))
+        records, _ = find_critical_points(tensor, n_starts=50, seed=1)
+        assert calls == [50]
+        ms = [r.m for r in records]
+        assert max(ms) > 1.0 - 1e-9 and min(ms) < -1.0 + 1e-9
+
+    def test_over_budget_runs_multistart_only(self, monkeypatch):
+        def no_paths(*args):
+            raise AssertionError("paths tracked past the budget")
+
+        tensor = cli_tensor(4, 1.5, 0)  # 16 paths
+        monkeypatch.setattr(simulate, "_PATH_BUDGET", 15)
+        monkeypatch.setattr(simulate, "_track", no_paths)
+        assert_same_search(find_critical_points(tensor, n_starts=300, seed=1),
+                           simulate._multistart(tensor, 300, 1))
+
+    @pytest.mark.parametrize("seed", not_seeds())
+    def test_rejects_bad_seed(self, seed):
+        tensor = cli_tensor(4, 1.5, 0)
+        with pytest.raises(ValueError, match="^seed must be"):
+            find_critical_points(tensor, n_starts=1, seed=seed)
 
     def test_rejects_bad_start_count(self):
         tensor = noiseless_tensor(3, 3, 1.0, np.array([1.0, 0.0, 0.0]))

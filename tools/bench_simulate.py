@@ -1,11 +1,16 @@
-"""Per-layer baseline of tensor contraction in ``tensorlandscape.simulate``.
+"""Per-layer baseline of tensor contraction and inventories in ``tensorlandscape.simulate``.
 
 Times the one contraction kernel, ``simulate._contract_rows``, per point at
-(n, k) = (100, 3) and (30, 4) on stacks of 1 and 20 points, and one
+(n, k) = (100, 3) and (30, 4) on stacks of 1 and 20 points, one
 ``power_iteration`` run on the three n = 100 tensors of the benchmark's
-``recovery`` job, with every BLAS/OpenMP thread variable set to 1.  The
-result goes under a label into a JSON file together with the machine
-(nproc, CPU, BLAS).  Run from the repository root:
+``recovery`` job, and critical-point inventories: the time to a complete
+inventory of the benchmark's two n = 5 ``inventory`` tensors, as its job
+runs them (calls of 100 starts with seeds [t, call] until the merged points
+reach the reference count with sum (-1)^index = 2), and one
+``find_critical_points`` call per k = 3 tensor at n = 4, 6 and 8.  Every
+BLAS/OpenMP thread variable is set to 1.  The result goes under a label
+into a JSON file together with the machine (nproc, CPU, BLAS).  Run from
+the repository root:
 
     python3 tools/bench_simulate.py --label "this change"
     python3 tools/bench_simulate.py --label parent --src ../parent/src
@@ -39,6 +44,12 @@ ROWS = (1, 20)
 RECOVERY_N, RECOVERY_FACTORS, STARTS, CAP = 100, (0.5, 1.0, 2.0), 20, 200
 #: timed passes over the 60 power iteration runs, after one untimed pass
 PASSES = 3
+#: the benchmark's inventory tensors (seed t: spike and tensor, as
+#: ``tensorland simulate --n 5 --lambda 1.5 --seed t`` draws them), their
+#: reference point counts, its starts per call and its cap on starts
+INVENTORY_N, INVENTORY_LAMBDA, INVENTORY_COUNTS, BATCH, START_CAP = 5, 1.5, (30, 18), 100, 2000
+#: dimensions of the single-call case, and timed repeats of every inventory case
+CALL_NS, INVENTORY_REPEATS = (4, 6, 8), 5
 
 
 def contraction() -> list[dict]:
@@ -95,6 +106,52 @@ def power() -> dict:
             "us_per_iter": 1e6 * sum(times) / (PASSES * iters)}
 
 
+def inventory() -> dict:
+    import numpy as np
+    from tensorlandscape import simulate
+
+    def tensor(n: int, seed: int):
+        u = np.random.default_rng(seed).standard_normal(n)
+        u /= np.linalg.norm(u)
+        return simulate.make_spiked_tensor(n, 3, INVENTORY_LAMBDA, u, seed=seed)
+
+    def complete(t: int, count: int) -> tuple[int, int]:
+        """Calls of BATCH starts until the merged inventory is complete; the
+        calls and starts it took."""
+        spiked, points, starts = tensor(INVENTORY_N, t), [], 0
+        while starts < START_CAP:
+            records, _ = simulate.find_critical_points(spiked, n_starts=BATCH,
+                                                       seed=[t, starts // BATCH])
+            starts += BATCH
+            points += [r for r in records
+                       if all(np.linalg.norm(r.sigma - p.sigma) >= 1e-6 for p in points)]
+            if len(points) == count and sum((-1) ** p.index for p in points) == 2:
+                break
+        return starts // BATCH, starts
+
+    times = []
+    for timed in [False] + [True] * INVENTORY_REPEATS:
+        t0 = time.perf_counter()
+        runs = [complete(t, count) for t, count in enumerate(INVENTORY_COUNTS)]
+        if timed:
+            times.append(time.perf_counter() - t0)
+    calls = []
+    for n in CALL_NS:
+        spiked, per_call = tensor(n, 0), []
+        for timed in [False] + [True] * INVENTORY_REPEATS:
+            t0 = time.perf_counter()
+            records, failures = simulate.find_critical_points(spiked, n_starts=BATCH, seed=1)
+            if timed:
+                per_call.append(time.perf_counter() - t0)
+        calls.append({"n": n, "k": 3, "n_starts": BATCH, "points": len(records),
+                      "failures": failures, "median_ms": 1e3 * statistics.median(per_call)})
+    return {"complete": {"tensors": len(runs), "calls": [c for c, _ in runs],
+                         "starts": [s for _, s in runs], "repeats": INVENTORY_REPEATS,
+                         "median_ms": 1e3 * statistics.median(times),
+                         "min_ms": 1e3 * min(times), "max_ms": 1e3 * max(times)},
+            "one_call": calls}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this entry in the output")
@@ -103,7 +160,8 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
 
-    result = {"machine": machine(), "contract_rows": contraction(), "power_iteration": power()}
+    result = {"machine": machine(), "contract_rows": contraction(), "power_iteration": power(),
+              "inventory": inventory()}
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data[args.label] = result
     OUT.write_text(json.dumps(data, indent=2) + "\n")
@@ -113,6 +171,12 @@ def main() -> None:
     p = result["power_iteration"]
     print(f"{args.label}: power_iteration {p['median_ms_per_run']:.1f} ms median per run, "
           f"{p['iters_per_pass']} iterations per pass, {p['us_per_iter']:.1f} us per iteration")
+    c = result["inventory"]["complete"]
+    print(f"{args.label}: complete n=5 inventories {c['median_ms']:.1f} ms median "
+          f"({c['calls']} calls of {BATCH} starts)")
+    for row in result["inventory"]["one_call"]:
+        print(f"{args.label}: one call n={row['n']}: {row['points']} points, "
+              f"{row['failures']} failures, {row['median_ms']:.1f} ms median")
 
 
 if __name__ == "__main__":
