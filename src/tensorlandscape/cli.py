@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .complexity import ModelParams, _seed, s_star, s_zero
+from .complexity import ModelParams, _count, _seed, s_star, s_zero
 from .kacrice import crt_expected, growth_rate_fit
 from .scan import (
     GridSpec,
@@ -213,8 +213,7 @@ def cmd_projection(args) -> None:
         project = project_max_over_m
     if not lo < hi:
         raise ValueError("projection range must satisfy lo < hi")
-    if args.points < 2:
-        raise ValueError("projection needs at least 2 points")
+    _count(args.points, "--points", 2)
     axis = np.linspace(lo, hi, args.points)
     star = project(params, axis, "star").value
     zero = project(params, axis, "zero").value
@@ -254,8 +253,7 @@ def cmd_oracle(args) -> None:
         raise ValueError("growth-rate fit needs at least 3 dimensions")
     if sorted(n_list) != n_list:
         raise ValueError("--n-list must be ascending")
-    if args.samples < 2:
-        raise ValueError("--samples must be >= 2")
+    _count(args.samples, "--samples", 2)
     lines = ["n,log_expected_count,std_error"]
     points = []
     for n in n_list:
@@ -305,14 +303,11 @@ def _simulate_one(args, seed: int):
 
 
 def cmd_simulate(args) -> None:
-    if args.seeds < 1:
-        raise ValueError("--seeds must be >= 1")
+    _count(args.seeds, "--seeds", 1)
     if args.hist_out is not None and args.method != "newton":
         raise ValueError("--hist-out requires --method newton")
-    if args.hist_bins < 1:
-        raise ValueError("--hist-bins must be >= 1")
-    if args.n_starts < 1:
-        raise ValueError("--n-starts must be >= 1")
+    _count(args.hist_bins, "--hist-bins", 1)
+    _count(args.n_starts, "--n-starts", 1)
     if args.method == "newton" and (args.max_iters is not None or args.tol is not None):
         raise ValueError("--max-iters and --tol do not apply to --method newton")
     ModelParams(args.k, args.lam)  # validate k and lambda
@@ -370,8 +365,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "out", None) is None and args.command != "thresholds":
             raise ValueError("--out is required (flag or config file)")
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
+        _count(args.threads, "--threads", 1)
         args.func(args)
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

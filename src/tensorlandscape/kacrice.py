@@ -25,14 +25,15 @@ Design notes:
   costs O(1).  log|det H| is the sum of log|p_i|, and by Sylvester's inertia
   H has as many eigenvalues above 0 as positive pivots: the local-maximum
   restriction 1{H <= 0} keeps a cell when no pivot is positive, so it is at
-  most the unrestricted estimate sample by sample.
+  most the unrestricted estimate sample by sample.  The sweep runs on
+  (x_steps, samples) arrays, samples contiguous, in reused buffers.
 * the (m, x) sum factors per x column: exp(weight) is the column's total
   exp(L_x) times convex shares over m, so a sample's total is
   sum_x exp(log_tail + L_x) * sum_m share |p_1|.  The inner sum is built one
   m row at a time with no transcendental per cell, and one log-sum-exp
-  over x reduces all samples in place: memory is O(samples x x_steps), and
-  no (samples, m, x) array is built.  The column totals L_x come from the
-  same log-sum-exp, ``_log_sum_exp``, over m.
+  over x reduces all samples in a reused buffer: memory is O(samples x
+  (n + x_steps)), and no (samples, m, x) array is built.  The column totals
+  L_x come from the same log-sum-exp, ``_log_sum_exp``, over m.
 * theta_n and t_n are ``theta_of_m`` and ``t_of_x`` scaled by sqrt(n/(n-1)),
   and the exponential weight is n times the terms of ``s_star`` other than
   ``phi_star``: every formula comes from :mod:`tensorlandscape.complexity`.
@@ -86,30 +87,45 @@ class McEstimate:
 
 def _tridiagonal(seed, n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` rows of GOE(dim)'s tridiagonal model: diagonal a_i ~ N(0, 2/dim),
-    squared off-diagonal b_i^2 ~ chi^2_(dim-i) / dim = Gamma((dim-i)/2, scale 2/dim)."""
+    squared off-diagonal b_i^2 ~ chi^2_(dim-i) / dim = Gamma((dim-i)/2, scale 2/dim),
+    drawn row by row and stored sample-contiguous (F order)."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(scale=math.sqrt(2.0 / dim), size=(n_samples, dim))
+    a = np.asfortranarray(rng.normal(scale=math.sqrt(2.0 / dim), size=(n_samples, dim)))
     b2 = rng.gamma(np.arange(dim - 1.0, 0.0, -1.0) / 2.0, 2.0 / dim, size=(n_samples, dim - 1))
-    return a, b2
+    return a, np.asfortranarray(b2)
 
 
-def _pivots(a: np.ndarray, b2: np.ndarray, t: np.ndarray):
+def _pivots(a: np.ndarray, b2: np.ndarray, t: np.ndarray, count_positive: bool = True):
     """Bottom-up LDL^T pivots p_d, ..., p_2 of T - t I per row of (a, b2) and shift t.
 
-    Returns (samples, len(t)) arrays: the sum of log|p_i| and the number of
-    positive p_i over i >= 2, and ``last``, with p_1 = theta + last for the
-    deformation theta e1 e1^T.  A pivot below pivmin = tiny * max(1, max b^2)
-    in magnitude becomes -pivmin, LAPACK ``dstebz``'s rule: b^2 / p stays finite.
+    Returns (samples, len(t)) arrays: the sum of log|p_i|, the number of
+    positive p_i over i >= 2 (if ``count_positive``, else None), and ``last``,
+    with p_1 = theta + last for the deformation theta e1 e1^T.  A pivot below
+    pivmin = tiny * max(1, max b^2) in magnitude becomes -pivmin, LAPACK
+    ``dstebz``'s rule: b^2 / p stays finite.  They are transposed views of
+    (len(t), samples) arrays: a step is whole-array ufuncs on contiguous rows
+    (a_i, b_i^2, the materialised shift) into one scratch buffer, the floor
+    runs elementwise only when one min says it can fire, and every value is
+    bit for bit that of a (samples, len(t)) sweep.
     """
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(b2, axis=1, initial=0.0))[:, None]
-    log_tail, n_positive = np.zeros((2, a.shape[0], t.size))
-    last = a[:, -1:] - t
-    for i in range(a.shape[1] - 2, -1, -1):
-        p = np.where(np.abs(last) < pivmin, -pivmin, last)
-        log_tail += np.log(np.abs(p))
-        n_positive += p > 0.0
-        last = a[:, i : i + 1] - t - b2[:, i : i + 1] / p
-    return log_tail, n_positive, last
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(b2, axis=1, initial=0.0))
+    a, b2, floor = a.T, b2.T, np.max(pivmin)
+    shift = np.repeat(t[:, None], a.shape[1], axis=1)
+    last = a[-1] - shift
+    log_tail, scratch = np.zeros_like(last), np.empty_like(last)
+    n_positive = np.zeros_like(last) if count_positive else None
+    for i in range(a.shape[0] - 2, -1, -1):
+        np.abs(last, out=scratch)
+        if np.min(scratch) < floor:
+            np.copyto(last, -pivmin, where=scratch < pivmin)
+            np.abs(last, out=scratch)
+        log_tail += np.log(scratch, out=scratch)
+        if count_positive:
+            n_positive += np.greater(last, 0.0, out=scratch)
+        np.divide(b2[i], last, out=scratch)
+        np.subtract(a[i], shift, out=last)
+        last -= scratch
+    return log_tail.T, None if n_positive is None else n_positive.T, last.T
 
 
 def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool) -> np.ndarray:
@@ -120,14 +136,14 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
     Per t column, exp(log_weight) = exp(L) * share with L the column's
     log-sum-exp and share convex weights over theta, so a draw's total is
     sum_t exp(log_tail + L) * sum_theta share |p_1|.  The inner sum is
-    accumulated one theta row at a time over (samples, len(t)) arrays; it is
-    at most max |p_1|, so it cannot overflow.
+    accumulated one theta row at a time over ``_pivots``' (len(t), samples)
+    arrays; it is at most max |p_1|, so it cannot overflow.
     """
-    log_tail, n_positive, last = _pivots(*draws, t)
+    log_tail, n_positive, last = _pivots(*draws, t, restrict_negative)
     log_column = _log_sum_exp(log_weight.copy(), axis=0)
     # an all -inf column has L = -inf: share 0 there, not nan
     share = np.exp(log_weight - np.where(np.isfinite(log_column), log_column, 0.0))
-    inner, cell = np.zeros((2, *last.shape))
+    inner, cell = np.zeros_like(last), np.empty_like(last)
     for theta_i, share_i in zip(theta, share):
         np.add(last, theta_i, out=cell)
         if restrict_negative:  # |p_1| 1{p_1 <= 0}
@@ -142,9 +158,10 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
         np.log(inner, out=inner)
     log_tail += log_column
     log_tail += inner
-    # in place: a copy of the (samples, len(t)) array would set the peak
-    # memory of the estimate
-    return _log_sum_exp(log_tail, axis=1)
+    # C order again, in ``cell``'s memory: the same pairwise sum over t
+    totals = cell.T.reshape(log_tail.shape)
+    np.copyto(totals, log_tail)
+    return _log_sum_exp(totals, axis=1)
 
 
 def _log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -212,7 +229,8 @@ def crt_expected(
     cannot represent, and the clipped sliver carries no count mass at the
     scales of interest.  ``n_threads`` must be an integer >= 1 (not a bool)
     and has no effect: identical seeds give bit-identical estimates.
-    ``seed`` is an integer >= 0 or a non-empty list or tuple of them.
+    ``seed`` is an integer >= 0 or a non-empty list or tuple of them, and
+    each interval exactly two finite numbers (lo, hi).
     """
     for name, value, low in (("n", n, 3), ("n_samples", n_samples, 2),
                              ("m_steps", m_steps, 1), ("x_steps", x_steps, 1),
@@ -220,8 +238,12 @@ def crt_expected(
         _count(value, name, low)
     seed = _seed(seed)
     for name, interval in (("m_interval", m_interval), ("x_interval", x_interval)):
-        if not np.all(np.isfinite(np.asarray(interval, dtype=float))):
-            raise ValueError(f"{name} bounds must be finite, got {interval!r}")
+        try:
+            bounds = np.asarray(interval)
+        except ValueError:  # a ragged nesting
+            bounds = np.asarray(None)
+        if not (bounds.shape == (2,) and bounds.dtype.kind in "iuf" and np.isfinite(bounds).all()):
+            raise ValueError(f"{name} bounds must be finite and exactly two, got {interval!r}")
     if which not in ("star", "zero"):
         raise ValueError(f"which must be 'star' or 'zero', got {which!r}")
     m_lo = max(float(m_interval[0]), -_M_CLIP)

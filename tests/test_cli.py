@@ -413,6 +413,23 @@ class TestExitCodes:
         assert run(["thresholds", "--threads", 0]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, low, forbidden", [
+        (["projection", "--points", 1], "--points", 2, "project_max_over_x"),
+        (["oracle", "--samples", 1], "--samples", 2, "crt_expected"),
+        (["simulate", "--seeds", 0], "--seeds", 1, "_draw_tensor"),
+        (["simulate", "--method", "newton", "--hist-bins", 0], "--hist-bins", 1, "_draw_tensor"),
+        (["simulate", "--method", "newton", "--n-starts", 0], "--n-starts", 1, "_draw_tensor"),
+        (["grid", "--threads", 0], "--threads", 1, "s_star"),
+    ])
+    def test_count_flags_go_through_the_count_rule(self, tmp_path, capsys, monkeypatch,
+                                                   argv, flag, low, forbidden):
+        # the library's one rule and message, checked before any work or output
+        forbid(monkeypatch, forbidden)
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", out]) == 2
+        assert f"error: {flag} must be >= {low} and an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_errors(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert run(["thresholds", "--out", missing_dir]) == 3

@@ -11,6 +11,9 @@ cell, divided by n, is checked to approach the closed-form surfaces.
 weight, and ``sample_goe`` the dense GOE reference; both exist only to test
 the library's kernel.  ``log_totals_per_sample`` is the direct reduction of
 each sample's (m, x) grid that ``_log_totals`` factors per x column.
+``pivots_reference`` and ``log_totals_reference`` are the row-major sweep
+and reduction on (samples, len(t)) arrays, which the sample-contiguous
+kernel reproduces bit for bit.
 """
 
 import math
@@ -111,6 +114,38 @@ def log_totals_per_sample(draws, theta, t, log_weight, restrict_negative):
     return log_totals
 
 
+def pivots_reference(a, b2, t):
+    """``_pivots`` on (samples, len(t)) arrays, one new array per step."""
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(b2, axis=1, initial=0.0))[:, None]
+    log_tail, n_positive = np.zeros((2, a.shape[0], t.size))
+    last = a[:, -1:] - t
+    for i in range(a.shape[1] - 2, -1, -1):
+        p = np.where(np.abs(last) < pivmin, -pivmin, last)
+        log_tail += np.log(np.abs(p))
+        n_positive += p > 0.0
+        last = a[:, i : i + 1] - t - b2[:, i : i + 1] / p
+    return log_tail, n_positive, last
+
+
+def log_totals_reference(draws, theta, t, log_weight, restrict_negative):
+    """``_log_totals`` on ``pivots_reference``'s (samples, len(t)) arrays."""
+    log_tail, n_positive, last = pivots_reference(*draws, t)
+    log_column = _log_sum_exp(log_weight.copy(), axis=0)
+    share = np.exp(log_weight - np.where(np.isfinite(log_column), log_column, 0.0))
+    inner = np.zeros_like(last)
+    for theta_i, share_i in zip(theta, share):
+        cell = last + theta_i
+        cell = np.maximum(-cell, 0.0) if restrict_negative else np.abs(cell)
+        inner += cell * share_i
+    if restrict_negative:
+        inner[n_positive != 0.0] = 0.0
+    with np.errstate(divide="ignore"):
+        log_inner = np.log(inner)
+    log_tail += log_column
+    log_tail += log_inner
+    return _log_sum_exp(log_tail, axis=1)
+
+
 def folded_normal_mean(mu, sigma):
     """E|X| for X ~ N(mu, sigma^2)."""
     return sigma * math.sqrt(2.0 / math.pi) * math.exp(
@@ -186,6 +221,45 @@ class TestPivotKernel:
         assert log_det == pytest.approx(math.log(abs(np.linalg.det(h))), rel=0.0, abs=1e-12)
         assert n_positive[0, 0] + (p1 > 0.0) == np.sum(np.linalg.eigvalsh(h) > 0.0)
 
+    @staticmethod
+    def assert_same_bits(a, b2, t):
+        want = pivots_reference(a, b2, t)
+        for count_positive in (True, False):
+            got = _pivots(a, b2, t, count_positive)
+            for name, g, w in zip(("log_tail", "n_positive", "last"), got, want):
+                if name == "n_positive" and not count_positive:
+                    assert g is None
+                else:
+                    assert g.shape == w.shape, name
+                    np.testing.assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("d", [1, 2, 39, 159])
+    def test_same_bits_as_the_row_major_sweep(self, d):
+        a, b2 = _tridiagonal(9, 40, d)
+        assert a.T.flags.c_contiguous and b2.T.flags.c_contiguous
+        t = np.linspace(-3.0, 3.0, 61)
+        self.assert_same_bits(a, b2, t)  # _tridiagonal's sample-contiguous views
+        self.assert_same_bits(np.ascontiguousarray(a), np.ascontiguousarray(b2), t)
+        self.assert_same_bits(a[9:17], b2[9:17], t)  # row slices
+        self.assert_same_bits(a[3:4], b2[3:4], t[5:6])
+
+    def test_same_bits_where_the_floor_fires(self):
+        tiny = np.finfo(float).tiny
+        # p_3 = 0 exactly (test_exactly_zero_pivot_stays_finite's matrix)
+        self.assert_same_bits(np.array([[0.7, -0.4, 0.25]]), np.array([[0.3, 0.5]]),
+                              np.array([0.25, 0.1]))
+        # p_3 = 2 tiny in both rows: floored where pivmin = 4 tiny (max b^2 = 4),
+        # kept where pivmin = tiny, in the same step
+        a = np.array([[0.7, -0.4, 3.0 * tiny], [0.2, 0.9, 3.0 * tiny]])
+        b2 = np.array([[0.3, 4.0], [0.5, 0.25]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            self.assert_same_bits(a, b2, np.array([tiny, 0.5]))
+        log_tail, _, _ = _pivots(a, b2, np.array([tiny]))
+        p3 = np.array([-4.0 * tiny, 2.0 * tiny])
+        p2 = np.array([-0.4 - tiny - 4.0 / p3[0], 0.9 - tiny - 0.25 / p3[1]])
+        np.testing.assert_allclose(log_tail[:, 0], np.log(np.abs(p3)) + np.log(np.abs(p2)),
+                                   rtol=1e-14)
+
     @pytest.mark.parametrize("restrict", [False, True])
     def test_abs_det_law_matches_dense_goe(self, restrict):
         # d = 5: the tridiagonal estimator against dense GOE(5) draws
@@ -218,6 +292,24 @@ class TestLogTotals:
         want = log_totals_per_sample(draws, theta, t, log_weight, restrict)
         assert np.isfinite(want).any()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    @pytest.mark.parametrize("n", [3, 40, 160])
+    @pytest.mark.parametrize("window, m_steps, x_steps", [
+        (((0.2, 0.4), (1.4, 1.6)), 1, 1), (((-0.99, 0.99), (-3.0, 3.0)), 60, 60),
+        (((-0.99, 0.99), (-3.0, 3.0)), 7, 480),
+    ])
+    def test_same_bits_as_the_row_major_reduction(self, restrict, lam, n, window, m_steps,
+                                                  x_steps):
+        # the oracle's bytes: the sample-contiguous sweep and reduction give
+        # every total of the row-major ones bit for bit
+        theta, t, log_weight = _count_grid(ModelParams(3, lam), n, *window, m_steps, x_steps)
+        draws = _tridiagonal(12, 50, n - 1)
+        got = _log_totals(draws, theta, t, log_weight, restrict)
+        np.testing.assert_array_equal(
+            got, log_totals_reference(draws, theta, t, log_weight, restrict))
+        assert np.isfinite(got).any()
 
     @pytest.mark.parametrize("restrict", [False, True])
     def test_zero_second_pivot_does_not_overflow(self, restrict):
@@ -505,6 +597,13 @@ class TestCrtExpected:
         assert a.log_mean == b.log_mean == c.log_mean
         assert a.std_error == b.std_error == c.std_error
 
+    @pytest.mark.parametrize("which", ["star", "zero"])
+    def test_thread_count_leaves_every_field_at_n160(self, which):
+        kwargs = dict(n_samples=100, seed=11, which=which)
+        one = crt_expected(ModelParams(3, 0.0), 160, n_threads=1, **kwargs)
+        assert one == crt_expected(ModelParams(3, 0.0), 160, n_threads=3, **kwargs)
+        assert math.isfinite(one.log_mean) and one.ess_ratio is not None
+
     def test_local_maxima_at_most_critical_points(self):
         params = ModelParams(3, 0.0)
         kwargs = dict(m_steps=30, x_steps=30, n_samples=200, seed=2)
@@ -640,6 +739,13 @@ class TestCrtExpected:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} bounds must be finite"):
                 crt_expected(ModelParams(3, 0.0), 5, n_samples=2, **{name: interval})
+
+    @pytest.mark.parametrize("name, interval", [
+        ("m_interval", (-0.5, 0.5, 7.0)), ("x_interval", 1.0), ("x_interval", (1.0,)),
+    ])
+    def test_rejects_an_interval_that_is_not_two_numbers(self, name, interval):
+        with pytest.raises(ValueError, match=f"^{name} bounds must be finite and exactly two"):
+            crt_expected(ModelParams(3, 0.0), 5, n_samples=2, **{name: interval})
 
     def test_growth_rate_large_n(self):
         # lambda = 0 at n in the hundreds: the slope of log E[count] is
