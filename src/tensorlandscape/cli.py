@@ -253,6 +253,10 @@ def cmd_oracle(args) -> None:
         raise ValueError("growth-rate fit needs at least 3 dimensions")
     if sorted(n_list) != n_list:
         raise ValueError("--n-list must be ascending")
+    for n in n_list:
+        _count(n, "--n-list", 3)
+    if len(set(n_list)) < 2:
+        raise ValueError("--n-list needs at least two distinct dimensions")
     _count(args.samples, "--samples", 2)
     lines = ["n,log_expected_count,std_error"]
     points = []

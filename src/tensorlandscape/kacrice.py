@@ -27,6 +27,9 @@ Design notes:
   restriction 1{H <= 0} keeps a cell when no pivot is positive, so it is at
   most the unrestricted estimate sample by sample.  The sweep runs on
   (x_steps, samples) arrays, samples contiguous, in reused buffers.
+* for local maxima, shifts below every draw's Rayleigh lower bound on the top
+  eigenvalue of T[1:, 1:] have a positive pivot in every draw and are not
+  swept (two thirds of the default x window at lambda = 0), bit for bit.
 * the (m, x) sum factors per x column: exp(weight) is the column's total
   exp(L_x) times convex shares over m, so a sample's total is
   sum_x exp(log_tail + L_x) * sum_m share |p_1|.  The inner sum is built one
@@ -128,6 +131,20 @@ def _pivots(a: np.ndarray, b2: np.ndarray, t: np.ndarray, count_positive: bool =
     return log_tail.T, None if n_positive is None else n_positive.T, last.T
 
 
+def _edge_bound(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Per row of (a, b2), a lower bound on the top eigenvalue of T[1:, 1:] (-inf
+    if d = 1): its largest diagonal entry or the Rayleigh quotient of a unit sine
+    window sqrt(2/(m+1)) sin(pi j/(m+1)) on its first m = 2, 4, 8, ... rows,
+    where the model's top eigenvector lives (off-diagonals sqrt(b^2) >= 0)."""
+    a, b = a[:, 1:], np.sqrt(b2[:, 1:])
+    bound, m = np.max(a, axis=1, initial=-np.inf), 2
+    while m <= a.shape[1]:
+        v = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.arange(1, m + 1) / (m + 1))
+        np.maximum(bound, a[:, :m] @ (v * v) + 2.0 * (b[:, : m - 1] @ (v[1:] * v[:-1])), out=bound)
+        m *= 2
+    return bound
+
+
 def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool) -> np.ndarray:
     """Per draw (a, b2), log sum over the (theta, t) cells of |det(theta e1 e1^T
     + T - t I)| exp(log_weight); ``log_weight`` has shape (len(theta), len(t)).
@@ -138,12 +155,25 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
     sum_t exp(log_tail + L) * sum_theta share |p_1|.  The inner sum is
     accumulated one theta row at a time over ``_pivots``' (len(t), samples)
     arrays; it is at most max |p_1|, so it cannot overflow.
+
+    With ``restrict_negative``, a shift below every draw's ``_edge_bound`` less
+    1e-9, far above the bound's rounding and the sweep's backward error (about
+    1e-15), leaves a positive pivot p_d, ..., p_2 in every draw (Sylvester's
+    inertia): it is -inf in every total and is not swept.  Each kept column is
+    computed alone and the totals keep all len(t) columns, so the bits hold.
     """
-    log_tail, n_positive, last = _pivots(*draws, t, restrict_negative)
-    log_column = _log_sum_exp(log_weight.copy(), axis=0)
+    n_samples, keep = draws[0].shape[0], slice(None)
+    if restrict_negative:
+        keep = t >= np.min(_edge_bound(*draws)) - 1e-9
+        if not keep.any():
+            return np.full(n_samples, -np.inf)
+    log_tail, n_positive, last = _pivots(*draws, t[keep], restrict_negative)
+    log_column = _log_sum_exp(log_weight.copy(), axis=0)[keep]
     # an all -inf column has L = -inf: share 0 there, not nan
-    share = np.exp(log_weight - np.where(np.isfinite(log_column), log_column, 0.0))
-    inner, cell = np.zeros_like(last), np.empty_like(last)
+    share = np.exp(log_weight[:, keep] - np.where(np.isfinite(log_column), log_column, 0.0))
+    # F order: ``cell`` is the buffer's first len(t[keep]) columns
+    buffer = np.empty((n_samples, t.size), order="F")
+    inner, cell = np.zeros_like(last), buffer[:, : last.shape[1]]
     for theta_i, share_i in zip(theta, share):
         np.add(last, theta_i, out=cell)
         if restrict_negative:  # |p_1| 1{p_1 <= 0}
@@ -158,9 +188,11 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
         np.log(inner, out=inner)
     log_tail += log_column
     log_tail += inner
-    # C order again, in ``cell``'s memory: the same pairwise sum over t
-    totals = cell.T.reshape(log_tail.shape)
-    np.copyto(totals, log_tail)
+    # all len(t) columns in C order, in ``cell``'s buffer: the same pairwise sum
+    totals = buffer.T.reshape(buffer.shape)
+    if restrict_negative:
+        totals[:, ~keep] = -np.inf
+    totals[:, keep] = log_tail
     return _log_sum_exp(totals, axis=1)
 
 

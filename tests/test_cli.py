@@ -191,6 +191,21 @@ class TestOracle:
         assert run(["oracle", "--n-list", "20,10,30", "--out", out]) == 2
         assert run(["oracle", "--n-list", "a,b,c", "--out", out]) == 2
 
+    @pytest.mark.parametrize("n_list, message", [
+        ("10,10,10", "--n-list needs at least two distinct dimensions"),
+        ("2,3,4", "--n-list must be >= 3 and an integer"),
+        ("0,10,20", "--n-list must be >= 3 and an integer"),
+    ])
+    def test_checks_every_dimension_before_any_estimate(self, tmp_path, capsys, monkeypatch,
+                                                         n_list, message):
+        calls = []
+        monkeypatch.setattr(cli, "crt_expected", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "o.csv"
+        assert run(self.ARGS + ["--n-list", n_list, "--out", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", [1, 0, -5])
     def test_rejects_too_few_samples_before_sampling(self, tmp_path, capsys, monkeypatch,
                                                       samples):

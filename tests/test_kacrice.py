@@ -13,7 +13,9 @@ the library's kernel.  ``log_totals_per_sample`` is the direct reduction of
 each sample's (m, x) grid that ``_log_totals`` factors per x column.
 ``pivots_reference`` and ``log_totals_reference`` are the row-major sweep
 and reduction on (samples, len(t)) arrays, which the sample-contiguous
-kernel reproduces bit for bit.
+kernel reproduces bit for bit, including where it skips the shifts that no
+draw can make a local maximum; the skip is checked against LAPACK's top
+eigenvalue and the full sweep's inertia.
 """
 
 import math
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
@@ -37,6 +41,7 @@ from tensorlandscape import (
 from tensorlandscape.complexity import phi_star, s_star, s_zero, t_of_x, theta_of_m
 from tensorlandscape.kacrice import (
     _count_grid,
+    _edge_bound,
     _log_sum_exp,
     _log_totals,
     _mc_estimate,
@@ -355,6 +360,106 @@ class TestLogTotals:
         full = _log_totals((a, b2), theta, t, log_weight, restrict)
         part = _log_totals((a[9:17], b2[9:17]), theta, t, log_weight, restrict)
         np.testing.assert_array_equal(part, full[9:17])
+
+
+def swept_shifts(monkeypatch):
+    """Record the shifts of every ``_pivots`` sweep that ``_log_totals`` runs."""
+    seen = []
+
+    def spy(a, b2, t, count_positive=True):
+        seen.append(t.copy())
+        return _pivots(a, b2, t, count_positive)
+
+    monkeypatch.setattr(kacrice, "_pivots", spy)
+    return seen
+
+
+class TestEdgePruning:
+    """The "zero" reduction skips the shifts below every draw's edge bound."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 39, 159, 639])
+    def test_bound_is_below_the_top_eigenvalue(self, d):
+        a, b2 = _tridiagonal(d, 300, d)
+        bound = _edge_bound(a, b2)
+        top = np.array([eigvalsh_tridiagonal(a[s, 1:], np.sqrt(b2[s, 1:]), select="i",
+                                             select_range=(d - 2, d - 2))[0]
+                        for s in range(a.shape[0])])
+        # the bound is a Rayleigh quotient: below the top up to rounding,
+        # which the margin exceeds by far
+        assert np.all(bound <= top + 1e-12)
+        assert np.all(top - bound < 1.0)
+
+    def test_empty_block_has_no_bound(self):
+        a, b2 = _tridiagonal(0, 7, 1)
+        assert np.all(_edge_bound(a, b2) == -np.inf)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("n", [3, 6, 40, 160, 640])
+    @pytest.mark.parametrize("lam", [0.0, 1.5, 3.0])
+    def test_skipped_shifts_have_a_positive_pivot_in_every_draw(self, monkeypatch, k, n, lam):
+        theta, t, log_weight = _count_grid(ModelParams(k, lam), n, (-0.99, 0.99),
+                                          (-3.0, 3.0), 60, 60)
+        draws = _tridiagonal([k, n], 400, n - 1)
+        seen = swept_shifts(monkeypatch)
+        _log_totals(draws, theta, t, log_weight, True)
+        skipped = ~np.isin(t, seen[0]) if seen else np.ones(t.size, bool)
+        _, n_positive, _ = _pivots(*draws, t)
+        assert np.all(n_positive[:, skipped] >= 1)
+        # and almost every shift that no draw can use is skipped
+        dead = np.all(n_positive != 0, axis=0)
+        if n >= 40:
+            assert skipped.sum() >= dead.sum() - 2 > 30
+
+    def test_star_sweeps_every_shift(self, monkeypatch):
+        theta, t, log_weight = _count_grid(ModelParams(3, 0.0), 40, (-0.99, 0.99),
+                                          (-3.0, 3.0), 60, 60)
+        seen = swept_shifts(monkeypatch)
+        _log_totals(_tridiagonal(1, 50, 39), theta, t, log_weight, False)
+        np.testing.assert_array_equal(seen[0], t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 8),
+        n_samples=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.lists(st.one_of(st.floats(-4.0, 4.0), st.floats(-1e6, -5.0),
+                             st.floats(5.0, 1e6)), min_size=1, max_size=12),
+        theta=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5),
+        empty_column=st.booleans(),
+        restrict=st.booleans(),
+    )
+    def test_same_bits_as_the_unpruned_reduction(self, d, n_samples, seed, t, theta,
+                                                 empty_column, restrict):
+        t, theta = np.array(t), np.array(theta)
+        rng = np.random.default_rng(seed)
+        log_weight = rng.normal(scale=3.0, size=(theta.size, t.size))
+        if empty_column:
+            log_weight[:, rng.integers(t.size)] = -np.inf
+        draws = _tridiagonal(seed, n_samples, d)
+        got = _log_totals(draws, theta, t, log_weight, restrict)
+        assert got.shape == (n_samples,)
+        np.testing.assert_array_equal(
+            got, log_totals_reference(draws, theta, t, log_weight, restrict))
+
+    def test_every_shift_skipped_sweeps_nothing(self, monkeypatch):
+        draws = _tridiagonal(3, 9, 6)
+        t = np.min(_edge_bound(*draws)) - 1e-6 - np.array([0.0, 4.0, 1.0])
+        seen = swept_shifts(monkeypatch)
+        got = _log_totals(draws, np.array([-1.0, 0.5]), t, np.zeros((2, 3)), True)
+        assert seen == []
+        assert got.shape == (9,) and np.all(got == -np.inf)
+        np.testing.assert_array_equal(
+            got, log_totals_reference(draws, np.array([-1.0, 0.5]), t, np.zeros((2, 3)), True))
+
+    def test_dimension_one_skips_nothing(self, monkeypatch):
+        # no pivot above p_1: every shift is swept, and low ones live
+        draws, theta, t = _tridiagonal(5, 8, 1), np.array([0.0, 2.0]), np.array([10.0, -10.0, 0.0])
+        log_weight = np.zeros((2, 3))
+        seen = swept_shifts(monkeypatch)
+        got = _log_totals(draws, theta, t, log_weight, True)
+        np.testing.assert_array_equal(seen[0], t)
+        np.testing.assert_array_equal(got, log_totals_reference(draws, theta, t, log_weight, True))
+        assert np.all(np.isfinite(got))
 
 
 class TestLogSumExp:
