@@ -279,8 +279,11 @@ def cmd_oracle(args) -> None:
 
 
 def _draw_tensor(args, seed: int):
-    """The spike u and tensor of one seed, and the generator that drew u."""
-    rng = np.random.default_rng(_seed(seed))
+    """The spike u and tensor of one seed, and the generator that drew u.
+
+    The noise is drawn from ``seed`` and u (then the start) from
+    ``[seed, 1]``, so the spike and start are independent of the noise."""
+    rng = np.random.default_rng(_seed([seed, 1]))
     u = rng.standard_normal(args.n)
     u /= np.linalg.norm(u)
     if args.noiseless:

@@ -59,10 +59,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _count(self.k, "k", 3))
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam < 0.0:
-            raise ValueError(f"signal-to-noise lam must be finite and >= 0, got {self.lam!r}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _real(self.lam, "lam", 0.0))
 
 
 def _count(value, name: str, low: int) -> int:
@@ -73,10 +70,30 @@ def _count(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _real(value, name: str, low: float, strict: bool = False) -> float:
+    """``value`` as a float, if it is one finite real number (a Python or
+    NumPy int or float; not a bool, a string, a sequence or a complex) >=
+    ``low``, or > ``low`` if ``strict``: the one rule for the real-valued
+    settings ``lam``, ``tol`` and ``xtol``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = np.asarray(None)
+    if not (arr.ndim == 0 and arr.dtype.kind in "iuf" and np.isfinite(arr)
+            and (arr > low if strict else arr >= low)):
+        bound = ">" if strict else ">="
+        raise ValueError(f"{name} must be a finite real number {bound} {low}, got {value!r}")
+    return float(arr)
+
+
 def _seed(seed) -> np.random.SeedSequence:
     """The ``SeedSequence`` of ``seed``, an integer >= 0 or a non-empty list
     or tuple of them, each checked by ``_count``: None (OS entropy), a bool
-    or a float is a ValueError that names ``seed``."""
+    or a float is a ValueError that names ``seed``.
+
+    NumPy drops trailing zero words, so ``5``, ``[5, 0]`` and ``(5, 0, 0)``
+    seed one stream; a sequence seed that must differ from ``s`` needs a
+    nonzero last word, as ``[s, 1]`` has."""
     if not isinstance(seed, (list, tuple)):
         return np.random.SeedSequence(_count(seed, "seed", 0))
     if not seed:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import ModelParams, _count, s_star, s_zero
+from .complexity import ModelParams, _count, _real, s_star, s_zero
 from .thresholds import _bisect_crossings, good_location_zero, s_star_projection
 
 __all__ = [
@@ -283,11 +283,10 @@ def region_nonnegative(
     must be finite and >= 0.
     """
     fn = _complexity_fn(which)
-    if not 0.0 <= float(tol) < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    tol = _real(tol, "tol", 0.0)
     m, x = grid_centers(grid)
     vals = fn(params, m[:, None], x[None, :])
-    return np.asarray(vals >= -float(tol))
+    return np.asarray(vals >= -tol)
 
 
 def band_endpoints(
@@ -314,8 +313,7 @@ def band_endpoints(
     1e-4 in m around the edges.  There m1 and m2 are set by rounding and are
     good to only about 5e-5, whatever ``xtol``.
     """
-    if not 0.0 < float(xtol) < math.inf:
-        raise ValueError(f"xtol must be finite and > 0, got {xtol!r}")
+    xtol = _real(xtol, "xtol", 0.0, strict=True)
 
     def star(ms: np.ndarray) -> np.ndarray:
         return s_star_projection(params, ms)

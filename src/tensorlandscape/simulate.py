@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexity import ModelParams, _count, _seed
+from .complexity import ModelParams, _count, _real, _seed
 
 __all__ = [
     "SpikedTensor",
@@ -316,9 +316,7 @@ def _shifted_power(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int, tol
     the step; the run ends after 60 tries.  Stops once |grad f| < tol,
     checked before each step, or after ``max_iters`` steps.
     """
-    max_iters = _count(max_iters, "max_iters", 1)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be finite and > 0")
+    max_iters, tol = _count(max_iters, "max_iters", 1), _real(tol, "tol", 0.0, strict=True)
     sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
     sigma = sigma / np.linalg.norm(sigma)
     k = tensor.k

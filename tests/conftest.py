@@ -33,6 +33,12 @@ def not_counts(low):
     return [low - 1, 2.5, True, np.float64(3.0), None]
 
 
+def not_reals():
+    """Values a real-valued setting must reject whatever its bound: a bool,
+    a string, None, a one-element list and a complex number."""
+    return [True, "1e-8", None, [1e-8], 1j]
+
+
 def not_seeds():
     """Values a seed must reject: None (fresh OS entropy), a bool, a
     negative integer, floats, a string, an empty sequence and sequences

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import argparse
 import math
 import os
 import warnings
@@ -27,6 +28,15 @@ def read_lines(path):
 
 def roundtrips(token):
     return "%.17g" % float(token) == token
+
+
+def coupled_draw(args, seed):
+    """``cli._draw_tensor`` as it drew before the spike was drawn apart from
+    the noise: u from the noise's own seed, which pins a scenario's tensor."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(args.n)
+    u /= np.linalg.norm(u)
+    return rng, u, simulate.make_spiked_tensor(args.n, args.k, args.lam, u, seed=seed)
 
 
 def forbid(monkeypatch, name):
@@ -237,6 +247,15 @@ class TestOracle:
 
 
 class TestSimulate:
+    def test_spike_is_drawn_apart_from_the_noise(self):
+        # at lambda = 0, f(u) is noise alone, with mean 0 when u does not
+        # depend on the noise; drawn from the noise's own seed, u read
+        # G[0, 0, :] and the mean was about 1 / (sqrt(2) n), 18 SE at n = 5
+        args = argparse.Namespace(n=5, k=3, lam=0.0, noiseless=False)
+        values = [simulate.objective(tensor, u)
+                  for _rng, u, tensor in (cli._draw_tensor(args, seed) for seed in range(2000))]
+        assert abs(np.mean(values)) < 4.0 * np.std(values, ddof=1) / math.sqrt(len(values))
+
     def test_noiseless_power_recovers_spike(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = run(["simulate", "--method", "power", "--noiseless",
@@ -291,6 +310,7 @@ class TestSimulate:
         # finds one index-1 saddle: the value axis spans that record and
         # every bin is zero
         monkeypatch.setattr(simulate, "_PATH_BUDGET", 0)
+        monkeypatch.setattr(cli, "_draw_tensor", coupled_draw)
         out = tmp_path / "newton.csv"
         hist = tmp_path / "hist.csv"
         code = run(["simulate", "--method", "newton", "--lambda", 1.5, "--n", 4,
@@ -310,6 +330,7 @@ class TestSimulate:
         # does not converge: no record to histogram, exit 2, and neither
         # output file is written
         monkeypatch.setattr(simulate, "_PATH_BUDGET", 0)
+        monkeypatch.setattr(cli, "_draw_tensor", coupled_draw)
         out = tmp_path / "newton.csv"
         hist = tmp_path / "hist.csv"
         code = run(["simulate", "--k", 3, "--lambda", 1.5, "--n", 4, "--n-starts", 1,

@@ -7,17 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from conftest import not_counts
+from conftest import not_counts, not_reals
 from tensorlandscape import (
+    GridSpec,
     ModelParams,
+    band_endpoints,
+    gradient_ascent,
     j_spherical,
     ldp_rate,
+    make_spiked_tensor,
     phi_star,
+    power_iteration,
+    region_nonnegative,
     s_star,
     s_zero,
     t_of_x,
     theta_of_m,
 )
+from tensorlandscape.complexity import _real, _seed
 
 
 def semicircle_log_potential(x):
@@ -58,6 +65,57 @@ class TestModelParams:
                 surface(params, 1.0000001, 0.0)
             with pytest.raises(ValueError):
                 surface(params, 0.5, math.nan)
+
+
+def _optimizer_run(optimizer):
+    tensor = make_spiked_tensor(4, 3, 1.0, np.array([1.0, 0.0, 0.0, 0.0]), seed=0)
+    return lambda tol: optimizer(tensor, np.array([0.0, 1.0, 0.0, 0.0]), tol=tol)
+
+
+#: every real-valued setting, its name, a value it accepts as an int and one
+#: as a NumPy float
+REAL_SETTINGS = {
+    "ModelParams.lam": ("lam", lambda v: ModelParams(3, v), 2, np.float64(1.5)),
+    "power_iteration.tol": ("tol", _optimizer_run(power_iteration), 1, np.float64(1e-8)),
+    "gradient_ascent.tol": ("tol", _optimizer_run(gradient_ascent), 1, np.float64(1e-8)),
+    "band_endpoints.xtol": ("xtol", lambda v: band_endpoints(ModelParams(3, 3.0), "star", xtol=v),
+                            1, np.float64(1e-10)),
+    "region_nonnegative.tol": ("tol", lambda v: region_nonnegative(
+        ModelParams(3, 1.5), GridSpec(-1.0, 1.0, -3.0, 3.0, 4, 4), "star", tol=v),
+        0, np.float64(0.5)),
+}
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("site", sorted(REAL_SETTINGS))
+    def test_rejects_what_is_not_a_real_number(self, site):
+        name, call, _, _ = REAL_SETTINGS[site]
+        for value in not_reals():
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+                call(value)
+
+    @pytest.mark.parametrize("site", sorted(REAL_SETTINGS))
+    def test_accepts_an_int_and_a_numpy_float(self, site):
+        _, call, as_int, as_numpy = REAL_SETTINGS[site]
+        call(as_int)
+        call(as_numpy)
+
+    def test_bounds(self):
+        assert _real(0, "x", 0.0) == 0.0 and type(_real(np.float32(0.5), "x", 0.0)) is float
+        for value, strict in ((0.0, True), (-1e-300, False), (math.nan, False),
+                              (math.inf, False), (np.array([[1.0]]), False)):
+            with pytest.raises(ValueError, match="^x must be"):
+                _real(value, "x", 0.0, strict)
+
+
+def test_seeds_that_differ_in_trailing_zeros_draw_one_stream():
+    # NumPy drops trailing zero words of a seed; a nonzero last word differs
+    def draw(seed):
+        return np.random.default_rng(_seed(seed)).standard_normal(4)
+
+    for seed in ([5, 0], (5, 0, 0)):
+        np.testing.assert_array_equal(draw(seed), draw(5))
+    assert not np.array_equal(draw([5, 1]), draw(5))
 
 
 class TestPhiStar:

@@ -108,7 +108,7 @@ def reference_search(tensor, n_starts, seed):
 
 
 def cli_tensor(n, lam, seed):
-    """The k = 3 tensor ``tensorland simulate --n n --lambda lam --seed seed`` draws."""
+    """The k = 3 tensor perfbench's ``cli_draw(n, lam, seed)`` draws."""
     u = unit(np.random.default_rng(seed), n)
     return make_spiked_tensor(n, 3, lam, u, seed=seed)
 
@@ -407,7 +407,7 @@ class TestPowerIteration:
         assert abs(float(sigma @ u)) > 0.8
 
     def test_stops_below_gradient_tolerance(self):
-        # the tensors and starts of `tensorland simulate --n 12 --lambda 2`,
+        # the tensors and starts of perfbench's `cli_draw(12, 2.0, seed)`,
         # seeds 0-2: a run that stops early stops on |grad f| < tol
         for seed in range(3):
             rng = np.random.default_rng(seed)

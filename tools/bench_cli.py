@@ -6,22 +6,12 @@ variable set to 1 and no bytecode written, and records per case the
 median, quartiles and spread of the wall time from process start to exit
 and the child's peak resident set size (``ru_maxrss``).  The cases take
 turns, REPEATS rounds after one untimed round, so a drift of the host
-spreads over all of them.  The result goes under a label into a JSON file
-together with the machine (nproc, CPU, BLAS).  Run from the repository root:
-
-    python3 tools/bench_cli.py --label "this change"
-    python3 tools/bench_cli.py --label parent --src ../parent/src
-
-``--src`` picks the source tree to import (default: this repository's
-``src``), so two commits can be measured by the same script on the same
-machine; each label's entry in ``BENCH_cli.json`` at the repository root
-is replaced and the others are kept.
+spreads over all of them.  See ``tools/harness.py`` for how to run it; the
+result goes into ``BENCH_cli.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
 import subprocess
@@ -30,9 +20,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_scan import ROOT, machine  # sets the thread variables before numpy loads
+import harness  # sets the thread variables before numpy loads
 
-OUT = ROOT / "BENCH_cli.json"
 #: timed processes per case, after one untimed round
 REPEATS = 11
 #: the subcommands' arguments; each writes its CSV into a scratch directory
@@ -84,25 +73,8 @@ def measure(src: Path) -> dict[str, dict]:
         rows[name] = {"args": SUBCOMMANDS.get(name), "median_s": median, "q1_s": q1,
                       "q3_s": q3, "min_s": min(walls), "max_s": max(walls),
                       "median_rss_mb": statistics.median(rss), "processes": REPEATS}
-    return rows
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="name of this entry in the output")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="source tree to import tensorlandscape from")
-    args = parser.parse_args()
-
-    result = {"machine": machine(), "processes": measure(args.src.resolve())}
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data[args.label] = result
-    OUT.write_text(json.dumps(data, indent=2) + "\n")
-    for name, row in result["processes"].items():
-        print(f"{args.label}: {name}: {1e3 * row['median_s']:.0f} ms median "
-              f"(IQR {1e3 * row['q1_s']:.0f}-{1e3 * row['q3_s']:.0f}), "
-              f"{row['median_rss_mb']:.1f} MB peak RSS")
+    return {"processes": rows}
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("cli", __doc__, measure)

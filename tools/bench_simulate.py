@@ -8,32 +8,18 @@ inventory of the benchmark's two n = 5 ``inventory`` tensors, as its job
 runs them (calls of 100 starts with seeds [t, call] until the merged points
 reach the reference count with sum (-1)^index = 2), and one
 ``find_critical_points`` call per k = 3 tensor at n = 4, 6 and 8.  Every
-BLAS/OpenMP thread variable is set to 1.  The result goes under a label
-into a JSON file together with the machine (nproc, CPU, BLAS).  Run from
-the repository root:
-
-    python3 tools/bench_simulate.py --label "this change"
-    python3 tools/bench_simulate.py --label parent --src ../parent/src
-
-``--src`` picks the source tree to import (default: this repository's
-``src``), so two commits can be measured by the same script on the same
-machine; each label's entry in ``BENCH_simulate.json`` at the repository
-root is replaced and the others are kept.
+BLAS/OpenMP thread variable is set to 1.  See ``tools/harness.py`` for how
+to run it; the result goes into ``BENCH_simulate.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import statistics
-import sys
 import time
-from pathlib import Path
 
-from bench_scan import ROOT, machine  # sets the thread variables before numpy loads
+import harness  # sets the thread variables before numpy loads
 
-OUT = ROOT / "BENCH_simulate.json"
 #: timed samples per case, each of CALLS contractions, after one untimed call
 REPEATS, CALLS = 21, 50
 CASES = ((100, 3), (30, 4))
@@ -44,9 +30,9 @@ ROWS = (1, 20)
 RECOVERY_N, RECOVERY_FACTORS, STARTS, CAP = 100, (0.5, 1.0, 2.0), 20, 200
 #: timed passes over the 60 power iteration runs, after one untimed pass
 PASSES = 3
-#: the benchmark's inventory tensors (seed t: spike and tensor, as
-#: ``tensorland simulate --n 5 --lambda 1.5 --seed t`` draws them), their
-#: reference point counts, its starts per call and its cap on starts
+#: the benchmark's inventory tensors (seed t: spike and tensor, as perfbench's
+#: ``cli_draw(5, 1.5, t)`` draws them), their reference point counts, its
+#: starts per call and its cap on starts
 INVENTORY_N, INVENTORY_LAMBDA, INVENTORY_COUNTS, BATCH, START_CAP = 5, 1.5, (30, 18), 100, 2000
 #: dimensions of the single-call case, and timed repeats of every inventory case
 CALL_NS, INVENTORY_REPEATS = (4, 6, 8), 5
@@ -65,13 +51,8 @@ def contraction() -> list[dict]:
             x = rng.standard_normal((size, n))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
             simulate._contract_rows(tensor, x)  # warms up (and builds any cache)
-            per_point = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                for _ in range(CALLS):
-                    simulate._contract_rows(tensor, x)
-                per_point.append((time.perf_counter() - t0) / (CALLS * size))
-            q1, median, q3 = statistics.quantiles(per_point, n=4)
+            q1, median, q3 = (t / size for t in harness.quartiles(
+                lambda: simulate._contract_rows(tensor, x), REPEATS, CALLS))
             rows.append({"n": n, "k": k, "rows": size, "median_us_per_point": 1e6 * median,
                          "q1_us": 1e6 * q1, "q3_us": 1e6 * q3, "repeats": REPEATS,
                          "calls_per_repeat": CALLS})
@@ -152,32 +133,10 @@ def inventory() -> dict:
             "one_call": calls}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="name of this entry in the output")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="source tree to import tensorlandscape from")
-    args = parser.parse_args()
-    sys.path.insert(0, str(args.src.resolve()))
-
-    result = {"machine": machine(), "contract_rows": contraction(), "power_iteration": power(),
-              "inventory": inventory()}
-    data = json.loads(OUT.read_text()) if OUT.exists() else {}
-    data[args.label] = result
-    OUT.write_text(json.dumps(data, indent=2) + "\n")
-    for row in result["contract_rows"]:
-        print(f"{args.label}: _contract_rows n={row['n']} k={row['k']} rows={row['rows']}: "
-              f"{row['median_us_per_point']:.1f} us per point")
-    p = result["power_iteration"]
-    print(f"{args.label}: power_iteration {p['median_ms_per_run']:.1f} ms median per run, "
-          f"{p['iters_per_pass']} iterations per pass, {p['us_per_iter']:.1f} us per iteration")
-    c = result["inventory"]["complete"]
-    print(f"{args.label}: complete n=5 inventories {c['median_ms']:.1f} ms median "
-          f"({c['calls']} calls of {BATCH} starts)")
-    for row in result["inventory"]["one_call"]:
-        print(f"{args.label}: one call n={row['n']}: {row['points']} points, "
-              f"{row['failures']} failures, {row['median_ms']:.1f} ms median")
+def measure(src) -> dict:
+    return {"contract_rows": contraction(), "power_iteration": power(),
+            "inventory": inventory()}
 
 
 if __name__ == "__main__":
-    main()
+    harness.main("simulate", __doc__, measure)
