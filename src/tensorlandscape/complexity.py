@@ -74,15 +74,16 @@ def _real(value, name: str, low: float, strict: bool = False) -> float:
     """``value`` as a float, if it is one finite real number (a Python or
     NumPy int or float; not a bool, a string, a sequence or a complex) >=
     ``low``, or > ``low`` if ``strict``: the one rule for the real-valued
-    settings ``lam``, ``tol`` and ``xtol``."""
+    settings ``lam``, ``tol`` and ``xtol``, and, with ``low`` = -inf, for
+    the bounds of a ``GridSpec``."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
         arr = np.asarray(None)
     if not (arr.ndim == 0 and arr.dtype.kind in "iuf" and np.isfinite(arr)
             and (arr > low if strict else arr >= low)):
-        bound = ">" if strict else ">="
-        raise ValueError(f"{name} must be a finite real number {bound} {low}, got {value!r}")
+        bound = f" {'>' if strict else '>='} {low}" if low > -math.inf else ""
+        raise ValueError(f"{name} must be a finite real number{bound}, got {value!r}")
     return float(arr)
 
 

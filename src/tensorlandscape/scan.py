@@ -81,10 +81,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("m_min", "m_max", "x_min", "x_max"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(getattr(self, name), name, -math.inf))
         if not (-1.0 <= self.m_min < self.m_max <= 1.0):
             raise ValueError("need -1 <= m_min < m_max <= 1")
         if not self.x_min < self.x_max:

@@ -18,15 +18,24 @@ index.  The inventory tracks every path of a total-degree homotopy to the
 complex eigenvectors Y[x^(k-1)] = x, all paths at once, and certifies the
 result complete; where it cannot (past a path budget, or on a degenerate
 tensor), it also runs a multi-start search by damped (Levenberg-Marquardt)
-Newton steps on |grad f|^2 / 2.  All of them contract the tensor with one
-kernel, ``_contract``, which takes a (B, n) stack of points, real or
-complex (a single point is a stack of one), and gives Y[x^(k-2)] and
-Y[x^(k-1)] for each row; ``_contract_rows`` adds f and the sphere gradient
-of real rows.  The kernel reads a packed copy of the tensor that keeps only
-the upper triangle of its last two axes, half the bytes of the dense array,
-made on the first contraction and kept with the tensor.  ``objective``,
-``riemannian_grad`` and ``riemannian_hess`` take a unit sigma (norm within
-1e-12 of 1) and raise ValueError for any other.
+Newton steps on |grad f|^2 / 2.
+
+Two kernels contract the tensor, each for a (B, n) stack of points (a
+single point is a stack of one), and both read one packed copy of it that
+keeps the pairs j <= l of its last two axes, half the bytes of the dense
+array, made on the first contraction and kept with the tensor.
+``_contract`` reads every packed column and gives Y[x^(k-2)] and
+Y[x^(k-1)] for real or complex rows: the Hessians, the Newton steps and the
+homotopy use it, and ``_contract_rows`` adds f and the sphere gradient of
+real rows.  ``_gradient_rows`` gives only w = Y[x^(k-1)], f and the sphere
+gradient of real rows, from the packed columns whose two indices lie in
+one half of [0, n), about a quarter of the dense bytes: ``objective``,
+``riemannian_grad``, both optimizers and the values of the inventory's
+records use it.  At n = 100, k = 3 it takes about 0.55 of
+``_contract_rows``'s time for one point (``BENCH_simulate.json``).
+
+``objective``, ``riemannian_grad`` and ``riemannian_hess`` take a unit
+sigma (norm within 1e-12 of 1) and raise ValueError for any other.
 
 Dense storage keeps the code transparent; it is meant for desk-scale
 dimensions, not production tensor decomposition: n^k floats, plus
@@ -84,11 +93,15 @@ class SpikedTensor:
 
     @functools.cached_property
     def _packed(self) -> np.ndarray:
-        """The upper triangle j <= l of the last two axes, read-only, of shape
-        (n^(k-2), n(n+1)/2): P[a, p] = Y[a, j_p, l_p] in ``np.triu_indices``
-        order.  Symmetry makes the lower triangle redundant."""
+        """The pairs j <= l of the last two axes, read-only, of shape
+        (n^(k-2), n(n+1)/2): P[a, p] = Y[a, j_p, l_p] in ``_triangle``
+        order.  The contractions read Y[a, l, j] for j < l as this entry:
+        ``data`` is symmetric only up to rounding (see
+        ``make_spiked_tensor``), so they differ from dense ones on ``data``
+        by rounding as well."""
         n = self.n
-        packed = np.take(self.data.reshape(-1, n * n), _triangle(n)[0], axis=1)
+        rows, cols, _ = _triangle(n)
+        packed = np.take(self.data.reshape(-1, n * n), rows * n + cols, axis=1)
         packed.flags.writeable = False
         return packed
 
@@ -153,10 +166,19 @@ def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray,
 
     The symmetrization averages G over all k! index-position permutations;
     an entry with all-distinct indices then has variance 1/(2n k!), and
-    <Y - E Y, sigma^(x)k> ~ N(0, 1/(2n)) for every unit sigma.  ``n`` must
-    be an integer >= 2 and ``k`` one >= 3 (neither a bool), and ``lam``
-    finite and >= 0, as ``ModelParams`` requires, and ``seed`` an integer
-    >= 0 or a non-empty list or tuple of them.
+    <Y - E Y, sigma^(x)k> ~ N(0, 1/(2n)) for every unit sigma.
+
+    ``data`` is symmetric only up to rounding.  The symmetrization sums the
+    k! transposes of G in each entry's own index order, and each entry of
+    the signal is its own product of u's, so most entries differ from some
+    transpose of theirs: by up to 1.3, 1.7 and 5.6 eps max|Y| on draws at
+    k = 3, 4 and 5 (n = 100, 20 and 10), and by up to 0.8 eps max|Y| in
+    ``noiseless_tensor``'s products.  Kernels that read different
+    transposes of one entry agree only to that rounding.
+
+    ``n`` must be an integer >= 2 and ``k`` one >= 3 (neither a bool), and
+    ``lam`` finite and >= 0, as ``ModelParams`` requires, and ``seed`` an
+    integer >= 0 or a non-empty list or tuple of them.
     """
     n, params = _count(n, "n", 2), ModelParams(k, lam)
     u = _check_unit(u, "u")
@@ -177,6 +199,8 @@ def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray,
 def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
     """The pure signal lam u^(x)k; the landscape every algorithm should ace.
 
+    Symmetric only up to rounding, as ``make_spiked_tensor`` says.
+
     ``n`` must be an integer >= 2 and ``k`` one >= 3 (neither a bool), and
     ``lam`` finite and > 0: at lam = 0 the tensor is zero and every point of
     the sphere is critical.
@@ -193,32 +217,58 @@ def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
 
 
 @functools.lru_cache(maxsize=8)
-def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row-major positions of the upper triangle j <= l of an (n, n)
-    matrix, in ``np.triu_indices`` order, and the (n, n) map from (j, l) to
-    the packed position of (min(j, l), max(j, l)); both read-only."""
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs j <= l of an (n, n) matrix in packed order, and the (n, n)
+    map from (j, l) to the packed position of (min(j, l), max(j, l)); all
+    read-only.
+
+    With A = [0, n//2) and B = [n//2, n), the pairs with both indices in A
+    come first, then those with both in B, each block in ``np.triu_indices``
+    order, then those with j in A and l in B, in row-major order."""
+    half = n // 2
     rows, cols = np.triu_indices(n)
+    order = np.argsort(np.where(cols < half, 0, np.where(rows >= half, 1, 2)), kind="stable")
+    rows, cols = rows[order], cols[order]
     unpack = np.empty((n, n), dtype=np.intp)
     unpack[rows, cols] = unpack[cols, rows] = np.arange(rows.size)
-    positions = rows * n + cols
-    positions.flags.writeable = unpack.flags.writeable = False
-    return positions, unpack
+    rows.flags.writeable = cols.flags.writeable = unpack.flags.writeable = False
+    return rows, cols, unpack
+
+
+@functools.lru_cache(maxsize=8)
+def _halves(n: int) -> tuple:
+    """What ``_gradient_rows`` reads of ``_triangle(n)``, all read-only:
+    n//2; the number of pairs within A and within either half; the first
+    indices of the same-half pairs followed by their second indices; the
+    weight of each, 1 on the diagonal and 2 off it, as a column; and the maps
+    from (j, l) in A x A to its position among the A pairs, and from B x B
+    to its position among the B pairs."""
+    rows, cols, unpack = _triangle(n)
+    half = n // 2
+    within_a = half * (half + 1) // 2
+    same = within_a + (n - half) * (n - half + 1) // 2
+    ends = np.concatenate([rows[:same], cols[:same]])
+    weight = np.where(rows[:same] == cols[:same], 1.0, 2.0)[:, None]
+    fold_a, fold_b = unpack[:half, :half].copy(), unpack[half:, half:] - within_a
+    for table in (ends, weight, fold_a, fold_b):
+        table.flags.writeable = False
+    return half, within_a, same, ends, weight, fold_a, fold_b
 
 
 def _contract(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of a (B, n) array x, real or complex: Y[x^(k-2)] of shape
     (B, n, n) and Y[x^(k-1)] of shape (B, n).
 
-    Y[x^(k-2)] comes from the packed upper triangle of the tensor: one
-    matrix product contracts its first index, k-3 einsums the next ones, and
-    one gather unpacks the symmetric result, so each call reads half of the
-    dense bytes.  A row of a stack is not bit for bit that row contracted
-    alone, so single points go in as (1, n) stacks."""
+    Y[x^(k-2)] comes from every column of the packed tensor: one matrix
+    product contracts its first index, k-3 einsums the next ones, and one
+    gather unpacks the symmetric result.  A row of a stack is not bit for
+    bit that row contracted alone, so single points go in as (1, n)
+    stacks."""
     packed, n = tensor._packed, tensor.n
     out = x @ packed.reshape(n, -1)
     for _ in range(tensor.k - 3):
-        out = np.einsum("bjt,bj->bt", out.reshape(len(x), n, -1), x)
-    flat = np.take(out, _triangle(n)[1], axis=1)
+        out = np.einsum("bjt,bj->bt", out.reshape(len(x), n, out.shape[1] // n), x)
+    flat = np.take(out, _triangle(n)[2], axis=1)
     return flat, np.einsum("bij,bj->bi", flat, x)
 
 
@@ -230,9 +280,42 @@ def _contract_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...
     return flat, w, np.vecdot(w, x), _sphere_grad(tensor.k, w, x)
 
 
+def _gradient_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each row of a real (B, n) array x: w = Y[x^(k-1)], f = w . x of
+    shape (B,) and the sphere gradient of shape (B, n), from the packed
+    columns whose two indices lie in one half, A = [0, n//2) or B = [n//2,
+    n): about n^k/4 floats, a quarter of the dense array.
+
+    The pairs (j, l) within one half reach w_i through one product of those
+    columns with x (x) x packed the same way, off-diagonal terms doubled.
+    A pair across the halves, a in A and b in B, reaches w_i for i in A
+    through the same-half entry Y[b, ..., i, a]: the rows with first index
+    in B, contracted with x and the middle indices, give a symmetric A x A
+    matrix, and twice it times x_A is w_A's share of the cross pairs; w_B's
+    share reads Y[a, ..., i, b] likewise.  ``_contract`` reads Y[i, ..., a,
+    b] instead, so the two kernels agree up to rounding and the symmetry of
+    ``data`` (see ``make_spiked_tensor``).  A row of a stack is not bit for
+    bit that row alone, so single points go in as (1, n) stacks."""
+    packed, n, size = tensor._packed, tensor.n, len(x)
+    half, within_a, same, ends, weight, fold_a, fold_b = _halves(n)
+    lead = x  # x^(k-2), flattened as the packed rows are
+    for _ in range(tensor.k - 3):
+        lead = (lead[:, :, None] * x[:, None, :]).reshape(size, lead.shape[1] * n)
+    at_ends = x.T.take(ends, axis=0)
+    w = (packed[:, :same] @ (at_ends[:same] * at_ends[same:] * weight)).T
+    for _ in range(tensor.k - 3):
+        w = np.einsum("bij,bj->bi", w.reshape(size, w.shape[1] // n, n), x)
+    cut, twice = len(packed) // n * half, 2.0 * x  # rows from cut on have first index in B
+    across = (lead[:, cut:] @ packed[cut:, :within_a]).take(fold_a, axis=1)
+    w[:, :half] += (across @ twice[:, :half, None])[:, :, 0]
+    across = (lead[:, :cut] @ packed[:cut, within_a:same]).take(fold_b, axis=1)
+    w[:, half:] += (across @ twice[:, half:, None])[:, :, 0]
+    return w, np.vecdot(w, x), _sphere_grad(tensor.k, w, x)
+
+
 def objective(tensor: SpikedTensor, sigma: np.ndarray) -> float:
     """f(sigma) = <Y, sigma^(x)k> for unit sigma."""
-    return float(_contract_rows(tensor, _check_unit(sigma, "sigma")[None])[2][0])
+    return float(_gradient_rows(tensor, _check_unit(sigma, "sigma")[None])[1][0])
 
 
 def tangent_basis(sigma: np.ndarray) -> np.ndarray:
@@ -271,7 +354,7 @@ def _sphere_hess(k: int, flat: np.ndarray, f_val, basis: np.ndarray) -> np.ndarr
 
 def riemannian_grad(tensor: SpikedTensor, sigma: np.ndarray) -> np.ndarray:
     """Sphere gradient of f at unit sigma: k P_orth Y[sigma^(k-1)], an n-vector."""
-    return _contract_rows(tensor, _check_unit(sigma, "sigma")[None])[3][0]
+    return _gradient_rows(tensor, _check_unit(sigma, "sigma")[None])[2][0]
 
 
 def riemannian_hess(
@@ -294,7 +377,7 @@ def riemannian_hess(
 def _at_point(tensor: SpikedTensor, sigma: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """w = Y[sigma^(k-1)], f and the sphere gradient at one point, from one
     contraction of the tensor; a zero or non-finite w is an error."""
-    _, w, f_val, grad = _contract_rows(tensor, sigma[None])
+    w, f_val, grad = _gradient_rows(tensor, sigma[None])
     if not 0.0 < float(np.linalg.norm(w)) < math.inf:
         raise DegenerateIterateError("the contraction Y[sigma^(k-1)] is zero or not finite")
     return w[0], float(f_val[0]), grad[0]
@@ -449,21 +532,20 @@ def _records(tensor: SpikedTensor, points: np.ndarray, iters) -> list[CriticalPo
     """The records of the rows of a (B, n) stack of final points, with their
     ``iters`` (one per row).
 
-    Each row is contracted on its own, which gives its ``grad_norm`` and
-    ``f_value`` bit for bit as ``riemannian_grad`` and ``objective`` would;
-    the Morse indices of all rows come from one stacked tangent Hessian,
-    built from those contractions, and one ``eigvalsh``.
+    Each row goes through ``_gradient_rows`` on its own, which gives its
+    ``grad_norm`` and ``f_value`` bit for bit as ``riemannian_grad`` and
+    ``objective`` would; the Morse indices of all rows come from one stacked
+    tangent Hessian, built from one ``_contract`` of the stack and those
+    values, and one ``eigvalsh``.
     """
-    n = tensor.n
-    rows = [_contract_rows(tensor, sigma[None]) for sigma in points]
-    flats = np.array([flat[0] for flat, _, _, _ in rows]).reshape(-1, n, n)
-    f_vals = np.array([f_val[0] for _, _, f_val, _ in rows])
-    hess = _sphere_hess(tensor.k, flats, f_vals, tangent_basis(points))
+    rows = [_gradient_rows(tensor, sigma[None]) for sigma in points]
+    f_vals = np.array([f_val[0] for _, f_val, _ in rows])
+    hess = _sphere_hess(tensor.k, _contract(tensor, points)[0], f_vals, tangent_basis(points))
     index = np.count_nonzero(np.linalg.eigvalsh(hess) > INDEX_ZERO_THRESHOLD, axis=-1)
     return [CriticalPointRecord(sigma=sigma.copy(), f_value=float(f_val[0]),
                                 grad_norm=float(np.linalg.norm(grad[0])), index=i,
                                 m=float(np.dot(sigma, tensor.u)), iters=it)
-            for sigma, (_, _, f_val, grad), i, it in zip(points, rows, index.tolist(), iters)]
+            for sigma, (_, f_val, grad), i, it in zip(points, rows, index.tolist(), iters)]
 
 
 def _distinct(found: list[CriticalPointRecord], n: int) -> list[CriticalPointRecord]:

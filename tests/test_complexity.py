@@ -72,9 +72,18 @@ def _optimizer_run(optimizer):
     return lambda tol: optimizer(tensor, np.array([0.0, 1.0, 0.0, 0.0]), tol=tol)
 
 
+def _grid_with(name):
+    bounds = {"m_min": -0.5, "m_max": 0.5, "x_min": -3.0, "x_max": 3.0}
+    return lambda v: GridSpec(**(bounds | {name: v}), m_steps=4, x_steps=4)
+
+
 #: every real-valued setting, its name, a value it accepts as an int and one
 #: as a NumPy float
 REAL_SETTINGS = {
+    "GridSpec.m_min": ("m_min", _grid_with("m_min"), -1, np.float64(-0.25)),
+    "GridSpec.m_max": ("m_max", _grid_with("m_max"), 1, np.float64(0.25)),
+    "GridSpec.x_min": ("x_min", _grid_with("x_min"), -2, np.float64(-2.5)),
+    "GridSpec.x_max": ("x_max", _grid_with("x_max"), 2, np.float64(2.5)),
     "ModelParams.lam": ("lam", lambda v: ModelParams(3, v), 2, np.float64(1.5)),
     "power_iteration.tol": ("tol", _optimizer_run(power_iteration), 1, np.float64(1e-8)),
     "gradient_ascent.tol": ("tol", _optimizer_run(gradient_ascent), 1, np.float64(1e-8)),

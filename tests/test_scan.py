@@ -33,6 +33,13 @@ class TestGridSpec:
             GridSpec(m_min=-1.2, m_max=0.4, x_min=-3, x_max=3, m_steps=10, x_steps=10)
         with pytest.raises(ValueError):
             GridSpec(m_min=-0.9, m_max=0.9, x_min=3, x_max=-3, m_steps=10, x_steps=10)
+        # each bound is one finite real number, stored as a float (the other
+        # non-numbers are in test_complexity's REAL_SETTINGS)
+        assert type(GridSpec(-1, 1, -3, 3, 4, 4).m_min) is float
+        for bounds, name in ((("-0.5", True, "-3", 3.0), "m_min"),
+                             ((-0.5, 0.5, -3, math.inf), "x_max")):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number, got"):
+                GridSpec(*bounds, 4, 4)
         # each step count is an integer >= 2, not a bool, and the error names it
         for name in ("m_steps", "x_steps"):
             for value in [0] + not_counts(2):

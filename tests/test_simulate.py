@@ -224,9 +224,10 @@ def dense_contraction(data, x):
 
 class TestPackedKernel:
     @pytest.mark.parametrize("k", [3, 4, 5])
-    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8])
     @pytest.mark.parametrize("rows", [1, 6])
     def test_matches_dense_einsum(self, k, n, rows):
+        # both kernels; odd and even n split [0, n) into unequal or equal halves
         rng = np.random.default_rng([k, n, rows])
         tensor = make_spiked_tensor(n, k, 1.3, unit(rng, n), seed=k + n)
         x = rng.standard_normal((rows, n))
@@ -235,9 +236,34 @@ class TestPackedKernel:
         want = dense_contraction(tensor.data, x)
         want_w = np.einsum("bij,bj->bi", want, x)
         want_f = np.einsum("bi,bi->b", want_w, x)
-        for got, ref in [(flat, want), (w, want_w), (f, want_f),
-                         (grad, k * (want_w - want_f[:, None] * x))]:
+        want_grad = k * (want_w - want_f[:, None] * x)
+        for got, ref in [(flat, want), (w, want_w), (f, want_f), (grad, want_grad),
+                         *zip(simulate._gradient_rows(tensor, x), (want_w, want_f, want_grad))]:
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_kernels_take_an_empty_stack(self, k):
+        # a search whose every start fails leaves no points to record
+        tensor = make_spiked_tensor(4, k, 1.0, np.array([1.0, 0.0, 0.0, 0.0]), seed=0)
+        empty = np.zeros((0, 4))
+        assert [a.shape for a in simulate._contract_rows(tensor, empty)] == [
+            (0, 4, 4), (0, 4), (0,), (0, 4)]
+        assert [a.shape for a in simulate._gradient_rows(tensor, empty)] == [(0, 4), (0,), (0, 4)]
+        assert simulate._records(tensor, empty, []) == []
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("make", ["spiked", "noiseless"])
+    def test_data_is_symmetric_up_to_rounding(self, k, make):
+        # the kernels read different transposes of one entry, so their
+        # agreement rests on this bound
+        n = 6
+        u = unit(np.random.default_rng(k), n)
+        tensor = (make_spiked_tensor(n, k, 1.5, u, seed=1) if make == "spiked"
+                  else noiseless_tensor(n, k, 1.5, u))
+        data = tensor.data
+        bound = math.factorial(k) * np.finfo(float).eps * np.abs(data).max()
+        for perm in itertools.permutations(range(k)):
+            assert np.abs(data - np.transpose(data, perm)).max() <= bound
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_packed_copy_is_built_once_and_read_only(self, k):
@@ -250,7 +276,12 @@ class TestPackedKernel:
         find_critical_points(tensor, n_starts=3, seed=0)
         assert vars(tensor)["_packed"] is packed
         assert packed.shape == (n ** (k - 2), n * (n + 1) // 2)
-        rows, cols = np.triu_indices(n)
+        # the pairs j <= l within [0, n//2), then within [n//2, n), then across
+        half = n // 2
+        pairs = ([(j, l) for j in range(half) for l in range(j, half)]
+                 + [(j, l) for j in range(half, n) for l in range(j, n)]
+                 + [(j, l) for j in range(half) for l in range(half, n)])
+        rows, cols = np.array(pairs).T
         assert np.array_equal(packed, tensor.data.reshape(-1, n, n)[:, rows, cols])
         with pytest.raises(ValueError):
             packed[0, 0] = 1.0
@@ -544,13 +575,13 @@ def test_calculus_rejects_a_point_off_the_sphere(calculus):
 @pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
 def test_contracts_each_point_once(method, monkeypatch):
     contracted = []
-    original = simulate._contract_rows
+    original = simulate._gradient_rows
 
     def recording(tensor, x):
         contracted.extend(row.tobytes() for row in x)
         return original(tensor, x)
 
-    monkeypatch.setattr(simulate, "_contract_rows", recording)
+    monkeypatch.setattr(simulate, "_gradient_rows", recording)
     rng = np.random.default_rng(8)
     tensor = make_spiked_tensor(10, 3, 1.5, unit(rng, 10), seed=4)
     _, out = method(tensor, unit(rng, 10), max_iters=300)

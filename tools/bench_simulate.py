@@ -1,19 +1,24 @@
 """Per-layer baseline of tensor contraction and inventories in ``tensorlandscape.simulate``.
 
-Times the one contraction kernel, ``simulate._contract_rows``, per point at
-(n, k) = (100, 3) and (30, 4) on stacks of 1 and 20 points, one
-``power_iteration`` run on the three n = 100 tensors of the benchmark's
-``recovery`` job, and critical-point inventories: the time to a complete
-inventory of the benchmark's two n = 5 ``inventory`` tensors, as its job
-runs them (calls of 100 starts with seeds [t, call] until the merged points
-reach the reference count with sum (-1)^index = 2), and one
-``find_critical_points`` call per k = 3 tensor at n = 4, 6 and 8.  Every
-BLAS/OpenMP thread variable is set to 1.  See ``tools/harness.py`` for how
-to run it; the result goes into ``BENCH_simulate.json``.
+Times the two contraction kernels per point at (n, k) = (100, 3) and
+(30, 4) on stacks of 1 and 20 points, their timed runs taken in turn:
+``simulate._contract_rows``, which reads every packed column for
+Y[x^(k-2)], and ``simulate._gradient_rows``, which reads the same-half
+columns for w, f and the gradient only (a source tree without it gets the
+first alone).  Then one ``power_iteration`` run, through the gradient
+kernel, on the three n = 100 tensors of the benchmark's ``recovery`` job,
+and critical-point inventories: the time to a complete inventory of the
+benchmark's two n = 5 ``inventory`` tensors, as its job runs them (calls
+of 100 starts with seeds [t, call] until the merged points reach the
+reference count with sum (-1)^index = 2), and one ``find_critical_points``
+call per k = 3 tensor at n = 4, 6 and 8.  Every BLAS/OpenMP thread
+variable is set to 1.  See ``tools/harness.py`` for how to run it; the
+result goes into ``BENCH_simulate.json``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 import time
@@ -38,11 +43,13 @@ INVENTORY_N, INVENTORY_LAMBDA, INVENTORY_COUNTS, BATCH, START_CAP = 5, 1.5, (30,
 CALL_NS, INVENTORY_REPEATS = (4, 6, 8), 5
 
 
-def contraction() -> list[dict]:
+def contraction() -> dict:
     import numpy as np
     from tensorlandscape import simulate
 
-    rows = []
+    kernels = {name: getattr(simulate, f"_{name}") for name in ("contract_rows", "gradient_rows")
+               if hasattr(simulate, f"_{name}")}
+    rows = {name: [] for name in kernels}
     for n, k in CASES:
         rng = np.random.default_rng([n, k])
         u = rng.standard_normal(n)
@@ -50,12 +57,19 @@ def contraction() -> list[dict]:
         for size in ROWS:
             x = rng.standard_normal((size, n))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
-            simulate._contract_rows(tensor, x)  # warms up (and builds any cache)
-            q1, median, q3 = (t / size for t in harness.quartiles(
-                lambda: simulate._contract_rows(tensor, x), REPEATS, CALLS))
-            rows.append({"n": n, "k": k, "rows": size, "median_us_per_point": 1e6 * median,
-                         "q1_us": 1e6 * q1, "q3_us": 1e6 * q3, "repeats": REPEATS,
-                         "calls_per_repeat": CALLS})
+            calls = {name: functools.partial(kernel, tensor, x) for name, kernel in kernels.items()}
+            for call in calls.values():
+                call()  # warms up (and builds any cache)
+            for name, timed in harness.alternating_quartiles(calls, REPEATS, CALLS).items():
+                q1, median, q3 = (t / size for t in timed)
+                rows[name].append({"n": n, "k": k, "rows": size,
+                                   "median_us_per_point": 1e6 * median, "q1_us": 1e6 * q1,
+                                   "q3_us": 1e6 * q3, "repeats": REPEATS,
+                                   "calls_per_repeat": CALLS})
+            if "gradient_rows" in rows:
+                gradient, full = rows["gradient_rows"][-1], rows["contract_rows"][-1]
+                gradient["vs_contract_rows"] = (gradient["median_us_per_point"]
+                                                / full["median_us_per_point"])
     return rows
 
 
@@ -134,8 +148,7 @@ def inventory() -> dict:
 
 
 def measure(src) -> dict:
-    return {"contract_rows": contraction(), "power_iteration": power(),
-            "inventory": inventory()}
+    return {**contraction(), "power_iteration": power(), "inventory": inventory()}
 
 
 if __name__ == "__main__":

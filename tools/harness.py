@@ -60,13 +60,20 @@ def machine() -> dict:
 
 def quartiles(call, repeats: int, per: int = 1) -> list[float]:
     """Quartiles over ``repeats`` timed runs of the mean time of ``per`` calls."""
-    times = []
+    return alternating_quartiles({None: call}, repeats, per)[None]
+
+
+def alternating_quartiles(calls: dict, repeats: int, per: int = 1) -> dict:
+    """``quartiles`` of each of ``calls`` by name, one timed run of each in
+    turn, so that a change in the host's speed moves them alike."""
+    times = {name: [] for name in calls}
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(per):
-            call()
-        times.append((time.perf_counter() - t0) / per)
-    return statistics.quantiles(times, n=4)
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            for _ in range(per):
+                call()
+            times[name].append((time.perf_counter() - t0) / per)
+    return {name: statistics.quantiles(runs, n=4) for name, runs in times.items()}
 
 
 def _print_rows(prefix: str, value) -> None:
