@@ -1,6 +1,6 @@
 """Direct simulation of the spiked tensor objective on the sphere.
 
-Everything here works with an explicit dense symmetric tensor
+Everything here works with a symmetric tensor
 
     Y = lam * u^(x)k + W / sqrt(2n),
 
@@ -21,9 +21,9 @@ tensor), it also runs a multi-start search by damped (Levenberg-Marquardt)
 Newton steps on |grad f|^2 / 2.
 
 Two kernels contract the tensor, each for a (B, n) stack of points (a
-single point is a stack of one), and both read one packed copy of it that
-keeps the pairs j <= l of its last two axes, half the bytes of the dense
-array, made on the first contraction and kept with the tensor.
+single point is a stack of one), and both read its packed store, which
+keeps the pairs j <= l of its last two axes: half the bytes of the dense
+array, built with the tensor and its only state.
 ``_contract`` reads every packed column and gives Y[x^(k-2)] and
 Y[x^(k-1)] for real or complex rows: the Hessians, the Newton steps and the
 homotopy use it, and ``_contract_rows`` adds f and the sphere gradient of
@@ -37,9 +37,10 @@ records use it.  At n = 100, k = 3 it takes about 0.55 of
 ``objective``, ``riemannian_grad`` and ``riemannian_hess`` take a unit
 sigma (norm within 1e-12 of 1) and raise ValueError for any other.
 
-Dense storage keeps the code transparent; it is meant for desk-scale
-dimensions, not production tensor decomposition: n^k floats, plus
-n^(k-1)(n+1)/2 for the packed copy once a tensor has been contracted.
+The store is meant for desk-scale dimensions, not production tensor
+decomposition: a tensor holds n^(k-1)(n+1)/2 floats, and
+``make_spiked_tensor`` draws its Gaussian array whole, n^k floats more
+while it builds one.
 """
 
 from __future__ import annotations
@@ -76,34 +77,68 @@ class DegenerateIterateError(RuntimeError):
     """Raised when an iteration produces a vector it cannot renormalize."""
 
 
+#: ``SpikedTensor.from_dense`` takes an entry within this much of max|Y| of
+#: its transposes as equal
+_SYMMETRY_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpikedTensor:
-    """A realized observation: dimension, order, planted direction, dense data.
+    """A realized observation: dimension, order, planted direction, and Y's
+    packed store, its only state, frozen and read-only.
 
-    Frozen, and ``data`` must not be changed in place either: the first
-    contraction caches a packed copy of it (see ``_packed``).
-    ``make_spiked_tensor`` and ``noiseless_tensor`` return ``data`` read-only,
-    so an in-place write raises ValueError instead of going unseen.
+    ``packed`` keeps the pairs j <= l of Y's last two axes, of shape
+    (n^(k-2), n(n+1)/2): packed[a, p] = Y[a, j_p, l_p] in ``_triangle``
+    order, a the leading k-2 indices flattened; the entry for (j, l) stands
+    for (l, j) too.  ``make_spiked_tensor`` and ``noiseless_tensor`` build
+    it without a dense array; ``from_dense`` packs one.
     """
 
     n: int
     k: int
     u: np.ndarray
-    data: np.ndarray
+    packed: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.packed) != (self.n ** (self.k - 2), self.n * (self.n + 1) // 2):
+            raise ValueError("packed must have shape (n^(k-2), n(n+1)/2); "
+                             "SpikedTensor.from_dense packs a dense array")
+
+    @classmethod
+    def from_dense(cls, n: int, k: int, u: np.ndarray, data: np.ndarray) -> SpikedTensor:
+        """The tensor with the dense entries ``data``, packed.
+
+        ``n`` must be an integer >= 2 and ``k`` one >= 3 (neither a bool),
+        ``u`` a unit vector of length n, and ``data`` a finite array of shape
+        (n,)^k, symmetric: within _SYMMETRY_TOL max|data| of its transpose
+        under each swap of two adjacent axes (so within k(k-1)/2 times that
+        of any transpose).  The entries with j <= l in the last two axes are
+        kept.
+        """
+        n, k = _count(n, "n", 2), _count(k, "k", 3)
+        u = _check_unit(u, "u", size=n)
+        data = np.asarray(data, dtype=float)
+        if data.shape != (n,) * k:
+            raise ValueError(f"data must have shape (n,)^k = {(n,) * k}, got {data.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError("data must be finite")
+        bound = _SYMMETRY_TOL * np.abs(data).max()
+        for axis in range(k - 1):
+            if not np.abs(data - np.swapaxes(data, axis, axis + 1)).max() <= bound:
+                raise ValueError(f"data must be symmetric (within {_SYMMETRY_TOL} max|data|)")
+        rows, cols, _ = _triangle(n)
+        packed = np.take(data.reshape(-1, n * n), rows * n + cols, axis=1)
+        packed.flags.writeable = False
+        return cls(n, k, u.copy(), packed)
 
     @functools.cached_property
-    def _packed(self) -> np.ndarray:
-        """The pairs j <= l of the last two axes, read-only, of shape
-        (n^(k-2), n(n+1)/2): P[a, p] = Y[a, j_p, l_p] in ``_triangle``
-        order.  The contractions read Y[a, l, j] for j < l as this entry:
-        ``data`` is symmetric only up to rounding (see
-        ``make_spiked_tensor``), so they differ from dense ones on ``data``
-        by rounding as well."""
-        n = self.n
-        rows, cols, _ = _triangle(n)
-        packed = np.take(self.data.reshape(-1, n * n), rows * n + cols, axis=1)
-        packed.flags.writeable = False
-        return packed
+    def data(self) -> np.ndarray:
+        """The dense Y, of shape (n,)^k, unpacked from the store on the first
+        read and kept, read-only: exactly symmetric in its last two axes, and
+        in the others only as the store is (see ``make_spiked_tensor``)."""
+        data = np.take(self.packed, _triangle(self.n)[2], axis=1).reshape((self.n,) * self.k)
+        data.flags.writeable = False
+        return data
 
 
 @dataclass
@@ -135,29 +170,44 @@ class AscentTrace:
     converged: bool
 
 
-def _check_unit(v: np.ndarray, name: str, tol: float = 1e-12) -> np.ndarray:
+def _check_unit(v: np.ndarray, name: str, tol: float = 1e-12,
+                size: int | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a vector")
     if not abs(float(np.linalg.norm(v)) - 1.0) <= tol:  # NaN fails too
         raise ValueError(f"{name} must have unit norm (within {tol})")
+    if size is not None and len(v) != size:
+        raise ValueError(f"{name} must have length n = {size}")
     return v
 
 
-def _rank_one(u: np.ndarray, k: int) -> np.ndarray:
-    out = u
-    for _ in range(k - 1):
-        out = np.multiply.outer(out, u)
-    return out
-
-
-def _symmetrize(g: np.ndarray) -> np.ndarray:
-    k = g.ndim
-    acc = np.zeros_like(g)
-    for perm in itertools.permutations(range(k)):
-        acc += np.transpose(g, perm)
-    acc /= math.factorial(k)
-    return acc
+def _build(n: int, params: ModelParams, u: np.ndarray, g: np.ndarray | None) -> SpikedTensor:
+    """The tensor lam u^(x)k + sym(g)/sqrt(2n) (lam u^(x)k if ``g`` is None),
+    its store filled one slab Y[a] at a time with O(n^(k-1)) scratch.  Each
+    slab repeats the plain expression's operations in its order, so the
+    store is bit for bit its columns: ((u_a u_i) u_j)... lam, plus the k!
+    views ``np.transpose(g, perm)[a]`` summed in ``permutations`` order,
+    divided by k! and then by sqrt(2n)."""
+    k, depth = params.k, n ** (params.k - 3)
+    rows, cols, _ = _triangle(n)
+    keep = rows * n + cols
+    packed = np.empty((n * depth, keep.size))
+    for a in range(n):
+        slab = u[a] * u
+        for _ in range(k - 2):
+            slab = np.multiply.outer(slab, u)
+        slab *= params.lam
+        if g is not None:
+            noise = np.zeros((n,) * (k - 1))
+            for perm in itertools.permutations(range(k)):
+                noise += np.transpose(g, perm)[a]
+            noise /= math.factorial(k)
+            noise /= math.sqrt(2.0 * n)
+            slab += noise
+        packed[a * depth:(a + 1) * depth] = slab.reshape(depth, n * n)[:, keep]
+    packed.flags.writeable = False
+    return SpikedTensor(n=n, k=k, u=u.copy(), packed=packed)
 
 
 def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray,
@@ -168,32 +218,21 @@ def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray,
     an entry with all-distinct indices then has variance 1/(2n k!), and
     <Y - E Y, sigma^(x)k> ~ N(0, 1/(2n)) for every unit sigma.
 
-    ``data`` is symmetric only up to rounding.  The symmetrization sums the
-    k! transposes of G in each entry's own index order, and each entry of
-    the signal is its own product of u's, so most entries differ from some
-    transpose of theirs: by up to 1.3, 1.7 and 5.6 eps max|Y| on draws at
-    k = 3, 4 and 5 (n = 100, 20 and 10), and by up to 0.8 eps max|Y| in
-    ``noiseless_tensor``'s products.  Kernels that read different
-    transposes of one entry agree only to that rounding.
+    The store is symmetric only up to rounding.  The symmetrization sums
+    the k! transposes of G in each entry's own index order, and each entry
+    of the signal is its own product of u's, so most entries differ from
+    some transpose of theirs: by up to 1.3, 1.7 and 5.6 eps max|Y| on draws
+    at k = 3, 4 and 5 (n = 100, 20 and 10), and by up to 0.8 eps max|Y| in
+    ``noiseless_tensor``'s products.  The kernels read different
+    transposes of one entry, and agree only to that rounding.
 
     ``n`` must be an integer >= 2 and ``k`` one >= 3 (neither a bool), and
     ``lam`` finite and >= 0, as ``ModelParams`` requires, and ``seed`` an
     integer >= 0 or a non-empty list or tuple of them.
     """
     n, params = _count(n, "n", 2), ModelParams(k, lam)
-    u = _check_unit(u, "u")
-    if u.shape[0] != n:
-        raise ValueError("u must have length n")
-    rng = np.random.default_rng(_seed(seed))
-    # built in place, with two tensor-sized temporaries at most; bit for bit
-    # lam R + sym(G) / sqrt(2n), as addition and multiplication commute
-    data = _symmetrize(rng.normal(size=(n,) * params.k))
-    data /= math.sqrt(2.0 * n)
-    signal = _rank_one(u, params.k)
-    signal *= params.lam
-    data += signal
-    data.flags.writeable = False  # the packed copy would not see a write
-    return SpikedTensor(n=n, k=params.k, u=u.copy(), data=data)
+    u = _check_unit(u, "u", size=n)
+    return _build(n, params, u, np.random.default_rng(_seed(seed)).normal(size=(n,) * params.k))
 
 
 def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
@@ -208,12 +247,7 @@ def noiseless_tensor(n: int, k: int, lam: float, u: np.ndarray) -> SpikedTensor:
     n, params = _count(n, "n", 2), ModelParams(k, lam)
     if params.lam == 0.0:
         raise ValueError("lam must be > 0")
-    u = _check_unit(u, "u")
-    if u.shape[0] != n:
-        raise ValueError("u must have length n")
-    data = params.lam * _rank_one(u, params.k)
-    data.flags.writeable = False
-    return SpikedTensor(n=n, k=params.k, u=u.copy(), data=data)
+    return _build(n, params, _check_unit(u, "u", size=n), None)
 
 
 @functools.lru_cache(maxsize=8)
@@ -264,7 +298,7 @@ def _contract(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     gather unpacks the symmetric result.  A row of a stack is not bit for
     bit that row contracted alone, so single points go in as (1, n)
     stacks."""
-    packed, n = tensor._packed, tensor.n
+    packed, n = tensor.packed, tensor.n
     out = x @ packed.reshape(n, -1)
     for _ in range(tensor.k - 3):
         out = np.einsum("bjt,bj->bt", out.reshape(len(x), n, out.shape[1] // n), x)
@@ -296,7 +330,7 @@ def _gradient_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...
     b] instead, so the two kernels agree up to rounding and the symmetry of
     ``data`` (see ``make_spiked_tensor``).  A row of a stack is not bit for
     bit that row alone, so single points go in as (1, n) stacks."""
-    packed, n, size = tensor._packed, tensor.n, len(x)
+    packed, n, size = tensor.packed, tensor.n, len(x)
     half, within_a, same, ends, weight, fold_a, fold_b = _halves(n)
     lead = x  # x^(k-2), flattened as the packed rows are
     for _ in range(tensor.k - 3):

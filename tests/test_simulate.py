@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ def cli_tensor(n, lam, seed):
     return make_spiked_tensor(n, 3, lam, u, seed=seed)
 
 
+def packed_columns(dense):
+    """The pairs j <= l of the last two axes of a dense (n,)^k array, rows
+    flattened over the leading k-2 indices: the pairs within [0, n//2), then
+    within [n//2, n), then across, each in row-major order."""
+    n = dense.shape[0]
+    half = n // 2
+    pairs = ([(j, l) for j in range(half) for l in range(j, half)]
+             + [(j, l) for j in range(half, n) for l in range(j, n)]
+             + [(j, l) for j in range(half) for l in range(half, n)])
+    rows, cols = np.array(pairs).T
+    return dense.reshape(-1, n, n)[:, rows, cols]
+
+
 def assert_same_search(got, want):
     """Same record count, failure count and Morse indices; points within 1e-12."""
     (records, failures), (ref_records, ref_failures) = got, want
@@ -128,7 +142,7 @@ class TestMakeSpikedTensor:
         u = unit(rng, 5)
         a = make_spiked_tensor(5, 3, 1.0, u, seed=9)
         b = make_spiked_tensor(5, 3, 1.0, u, seed=9)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.packed, b.packed)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             assert np.allclose(a.data, np.transpose(a.data, perm), atol=1e-15)
 
@@ -166,10 +180,11 @@ class TestMakeSpikedTensor:
         ratio = vals.var(ddof=1) * 2.0 * n
         assert abs(ratio - 1.0) < 4.0 * math.sqrt(2.0 / (vals.size - 1))
 
-    @pytest.mark.parametrize("n, k", [(5, 3), (7, 4)])
-    def test_in_place_build_is_the_sum_bit_for_bit(self, n, k):
-        # the tensor is built in place; it must equal the plain expression
-        # lam u^(x)k + sym(G) / sqrt(2n) exactly
+    @pytest.mark.parametrize("n, k", [(5, 3), (7, 4), (2, 3), (8, 4), (10, 5), (3, 6)])
+    def test_store_is_the_sum_bit_for_bit(self, n, k):
+        # the store is built a slab at a time; it must hold the columns of
+        # the plain expression lam u^(x)k + sym(G) / sqrt(2n) exactly, and
+        # noiseless_tensor's those of lam u^(x)k
         u = unit(np.random.default_rng(n), n)
         g = np.random.default_rng(np.random.SeedSequence(11)).normal(size=(n,) * k)
         sym = np.zeros_like(g)
@@ -177,7 +192,29 @@ class TestMakeSpikedTensor:
             sym += np.transpose(g, perm)
         rank_one = functools.reduce(np.multiply.outer, [u] * k)
         want = 1.7 * rank_one + sym / math.factorial(k) / math.sqrt(2.0 * n)
-        assert np.array_equal(make_spiked_tensor(n, k, 1.7, u, seed=11).data, want)
+        assert np.array_equal(make_spiked_tensor(n, k, 1.7, u, seed=11).packed,
+                              packed_columns(want))
+        assert np.array_equal(noiseless_tensor(n, k, 1.7, u).packed,
+                              packed_columns(1.7 * rank_one))
+
+    def test_build_holds_the_store_alone(self):
+        # traced: the tensor holds its n^2(n+1)/2 stored floats, and the
+        # build peaks at G plus the store plus a few (n,)^(k-1) slabs, not
+        # at two n^k arrays
+        n, k = 60, 3
+        u = unit(np.random.default_rng(0), n)
+        make_spiked_tensor(n, k, 1.0, u, seed=0)  # fills the index caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tensor = make_spiked_tensor(n, k, 1.0, u, seed=0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        store, slab = 8 * n * n * (n + 1) // 2, 8 * n ** (k - 1)
+        assert store <= held - base <= store + slab
+        assert peak - base <= 8 * n ** k + store + 6 * slab
+        assert tensor.packed.nbytes == store
 
     def test_rejects_bad_arguments(self):
         u = np.array([1.0, 0.0, 0.0])
@@ -210,8 +247,8 @@ class TestMakeSpikedTensor:
         # a NumPy integer is its int, a tuple its list
         u = np.array([1.0, 0.0, 0.0])
         for one, other in ((7, np.int64(7)), ([3, 4], (3, 4)), ([3, 4], [np.int32(3), 4])):
-            assert np.array_equal(make_spiked_tensor(3, 3, 1.0, u, seed=one).data,
-                                  make_spiked_tensor(3, 3, 1.0, u, seed=other).data)
+            assert np.array_equal(make_spiked_tensor(3, 3, 1.0, u, seed=one).packed,
+                                  make_spiked_tensor(3, 3, 1.0, u, seed=other).packed)
 
 
 def dense_contraction(data, x):
@@ -253,53 +290,128 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     @pytest.mark.parametrize("make", ["spiked", "noiseless"])
-    def test_data_is_symmetric_up_to_rounding(self, k, make):
-        # the kernels read different transposes of one entry, so their
-        # agreement rests on this bound
+    def test_store_is_symmetric_up_to_rounding(self, k, make):
+        # the kernels read different transposes of one stored entry, so
+        # their agreement rests on this bound; the unpacked data is exactly
+        # symmetric in its last two axes
         n = 6
         u = unit(np.random.default_rng(k), n)
         tensor = (make_spiked_tensor(n, k, 1.5, u, seed=1) if make == "spiked"
                   else noiseless_tensor(n, k, 1.5, u))
         data = tensor.data
+        assert np.array_equal(data, np.swapaxes(data, -1, -2))
         bound = math.factorial(k) * np.finfo(float).eps * np.abs(data).max()
         for perm in itertools.permutations(range(k)):
             assert np.abs(data - np.transpose(data, perm)).max() <= bound
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_packed_copy_is_built_once_and_read_only(self, k):
+    def test_store_is_made_at_construction_and_read_only(self, k):
         n = 5
         tensor = make_spiked_tensor(n, k, 1.0, unit(np.random.default_rng(0), n), seed=1)
-        assert "_packed" not in vars(tensor)  # built by the first contraction
+        packed = tensor.packed
+        assert packed.shape == (n ** (k - 2), n * (n + 1) // 2)
         objective(tensor, tensor.u)
-        packed = vars(tensor)["_packed"]
         riemannian_hess(tensor, tensor.u)
         find_critical_points(tensor, n_starts=3, seed=0)
-        assert vars(tensor)["_packed"] is packed
-        assert packed.shape == (n ** (k - 2), n * (n + 1) // 2)
-        # the pairs j <= l within [0, n//2), then within [n//2, n), then across
-        half = n // 2
-        pairs = ([(j, l) for j in range(half) for l in range(j, half)]
-                 + [(j, l) for j in range(half, n) for l in range(j, n)]
-                 + [(j, l) for j in range(half) for l in range(half, n)])
-        rows, cols = np.array(pairs).T
-        assert np.array_equal(packed, tensor.data.reshape(-1, n, n)[:, rows, cols])
-        with pytest.raises(ValueError):
-            packed[0, 0] = 1.0
+        # the contractions cache nothing: the store is the whole state
+        assert set(vars(tensor)) == {"n", "k", "u", "packed"}
+        assert vars(tensor)["packed"] is packed
+        # data is unpacked once, on the first read, and kept
+        data = tensor.data
+        assert vars(tensor)["data"] is data and tensor.data is data
+        assert data.shape == (n,) * k
+        assert np.array_equal(packed_columns(data), packed)
+        for array in (packed, data):
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
 
     def test_tensor_is_frozen(self):
         tensor = noiseless_tensor(4, 3, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(dataclasses.FrozenInstanceError):
             tensor.data = np.zeros((4, 4, 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tensor.packed = np.zeros((4, 10))
 
-    @pytest.mark.parametrize("make", ["spiked", "noiseless"])
-    def test_data_cannot_change_behind_the_packed_copy(self, make):
+    @pytest.mark.parametrize("make", ["spiked", "noiseless", "dense"])
+    def test_store_and_data_cannot_change(self, make):
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         tensor = (make_spiked_tensor(4, 3, 2.0, e1, seed=0) if make == "spiked"
                   else noiseless_tensor(4, 3, 2.0, e1))
+        if make == "dense":
+            tensor = SpikedTensor.from_dense(4, 3, e1, tensor.data)
         before = objective(tensor, e1)
+        with pytest.raises(ValueError, match="read-only"):
+            tensor.packed[0, 0] += 1.0
         with pytest.raises(ValueError, match="read-only"):
             tensor.data[0, 0, 0] += 1.0
         assert objective(tensor, e1) == before
+
+
+class TestFromDense:
+    """``SpikedTensor.from_dense`` packs a dense array, and rejects one that
+    the kernels would misread."""
+
+    E1 = np.array([1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("make", ["spiked", "noiseless"])
+    def test_packs_the_stored_entries(self, k, make):
+        n = 5
+        u = unit(np.random.default_rng(k), n)
+        tensor = (make_spiked_tensor(n, k, 1.5, u, seed=2) if make == "spiked"
+                  else noiseless_tensor(n, k, 1.5, u))
+        dense = SpikedTensor.from_dense(n, k, u, tensor.data)
+        assert np.array_equal(dense.packed, tensor.packed)
+        assert not dense.packed.flags.writeable
+        assert np.array_equal(dense.u, u) and dense.u is not u
+
+    def test_rejects_a_tensor_of_another_shape(self):
+        # the kernels would read a (4, 4, 4, 4) array's rows as those of a
+        # k = 3 tensor, and give a wrong Hessian
+        data = noiseless_tensor(4, 4, 1.0, self.E1).data
+        # the plain constructor takes a store, never a dense array
+        with pytest.raises(ValueError, match="from_dense"):
+            SpikedTensor(4, 3, self.E1, data)
+        with pytest.raises(ValueError, match="shape"):
+            SpikedTensor.from_dense(4, 3, self.E1, data)
+        with pytest.raises(ValueError, match="shape"):
+            SpikedTensor.from_dense(4, 4, self.E1, data[:3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_entries_that_are_not_finite(self, bad):
+        data = np.zeros((4, 4, 4))
+        data[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpikedTensor.from_dense(4, 3, self.E1, data)
+
+    def test_rejects_a_tensor_that_is_not_symmetric(self):
+        # the store keeps the upper triangle of the last two axes only, so
+        # its f would not be <Y, x^(x)k> for a non-symmetric Y
+        with pytest.raises(ValueError, match="symmetric"):
+            SpikedTensor.from_dense(4, 3, self.E1, np.arange(64.0).reshape(4, 4, 4))
+        # a swap of the first two axes is checked as well as of the last two
+        data = np.array(noiseless_tensor(4, 3, 1.0, np.full(4, 0.5)).data)
+        data[0, 1, 2] = data[0, 2, 1] = 0.125 * (1.0 + 1e-11)
+        with pytest.raises(ValueError, match="symmetric"):
+            SpikedTensor.from_dense(4, 3, self.E1, data)
+        data[0, 1, 2] = data[0, 2, 1] = 0.125 * (1.0 + 1e-13)  # within the bound
+        SpikedTensor.from_dense(4, 3, self.E1, data)
+
+    def test_rejects_a_bad_spike(self):
+        data = noiseless_tensor(4, 3, 1.0, self.E1).data
+        with pytest.raises(ValueError, match="length n"):
+            SpikedTensor.from_dense(4, 3, np.array([1.0, 0.0, 0.0]), data)
+        with pytest.raises(ValueError, match="unit norm"):
+            SpikedTensor.from_dense(4, 3, 2.0 * self.E1, data)
+
+    def test_rejects_counts_that_are_not_counts(self):
+        data = noiseless_tensor(4, 3, 1.0, self.E1).data
+        for n in not_counts(2):
+            with pytest.raises(ValueError, match="^n must be >= 2 and an integer"):
+                SpikedTensor.from_dense(n, 3, self.E1, data)
+        for k in not_counts(3):
+            with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
+                SpikedTensor.from_dense(4, k, self.E1, data)
 
 
 class TestNoiselessTensor:
@@ -400,7 +512,8 @@ class TestSphereCalculus:
 
     def test_rotation_equivariance(self):
         q, _ = np.linalg.qr(self.rng.standard_normal((self.n, self.n)))
-        rotated = SpikedTensor(self.n, 3, q @ self.tensor.u, rotate_tensor(self.tensor.data, q))
+        rotated = SpikedTensor.from_dense(self.n, 3, q @ self.tensor.u,
+                                          rotate_tensor(self.tensor.data, q))
         sig_q = q @ self.sigma
         assert objective(rotated, sig_q) == pytest.approx(
             objective(self.tensor, self.sigma), abs=1e-10

@@ -22,7 +22,8 @@ SMALLEST = {
     "scan": {"REPEATS": 2, "CALLS": 1, "CASES": ((3, 3.0),), "SURFACES": ("star",)},
     "kacrice": {"REPEATS": 2, "LAMBDAS": (0.0,), "DIMENSIONS": (20,), "X_STEPS": (60,),
                 "SURFACES": ("star",)},
-    "simulate": {"REPEATS": 2, "CALLS": 1, "CASES": ((30, 4),), "ROWS": (1,),
+    "simulate": {"BUILD_CASES": ((10, 5),), "BUILD_REPEATS": 2,
+                 "REPEATS": 2, "CALLS": 1, "CASES": ((30, 4),), "ROWS": (1,),
                  "RECOVERY_FACTORS": (2.0,), "STARTS": 1, "PASSES": 2,
                  "INVENTORY_COUNTS": (30,), "CALL_NS": (4,), "INVENTORY_REPEATS": 2},
     "cli": {"REPEATS": 2, "SUBCOMMANDS": {}},

@@ -1,19 +1,22 @@
-"""Per-layer baseline of tensor contraction and inventories in ``tensorlandscape.simulate``.
+"""Per-layer baseline of tensor builds, contraction and inventories in ``tensorlandscape.simulate``.
 
-Times the two contraction kernels per point at (n, k) = (100, 3) and
-(30, 4) on stacks of 1 and 20 points, their timed runs taken in turn:
-``simulate._contract_rows``, which reads every packed column for
-Y[x^(k-2)], and ``simulate._gradient_rows``, which reads the same-half
-columns for w, f and the gradient only (a source tree without it gets the
-first alone).  Then one ``power_iteration`` run, through the gradient
-kernel, on the three n = 100 tensors of the benchmark's ``recovery`` job,
-and critical-point inventories: the time to a complete inventory of the
-benchmark's two n = 5 ``inventory`` tensors, as its job runs them (calls
-of 100 starts with seeds [t, call] until the merged points reach the
-reference count with sum (-1)^index = 2), and one ``find_critical_points``
-call per k = 3 tensor at n = 4, 6 and 8.  Every BLAS/OpenMP thread
-variable is set to 1.  See ``tools/harness.py`` for how to run it; the
-result goes into ``BENCH_simulate.json``.
+Times ``make_spiked_tensor`` at (n, k) = (100, 3), (200, 3), (30, 4) and
+(10, 5), and traces one build with ``tracemalloc``: its peak, and what the
+tensor holds after its first contraction (a tree that packs the tensor
+lazily packs it then).  Times the two contraction kernels per point at
+(n, k) = (100, 3) and (30, 4) on stacks of 1 and 20 points, their timed
+runs taken in turn: ``simulate._contract_rows``, which reads every packed
+column for Y[x^(k-2)], and ``simulate._gradient_rows``, which reads the
+same-half columns for w, f and the gradient only (a source tree without it
+gets the first alone).  Then one ``power_iteration`` run, through the
+gradient kernel, on the three n = 100 tensors of the benchmark's
+``recovery`` job, and critical-point inventories: the time to a complete
+inventory of the benchmark's two n = 5 ``inventory`` tensors, as its job
+runs them (calls of 100 starts with seeds [t, call] until the merged
+points reach the reference count with sum (-1)^index = 2), and one
+``find_critical_points`` call per k = 3 tensor at n = 4, 6 and 8.  Every
+BLAS/OpenMP thread variable is set to 1.  See ``tools/harness.py`` for how
+to run it; the result goes into ``BENCH_simulate.json``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import time
 
 import harness  # sets the thread variables before numpy loads
 
+#: the (n, k) of the timed builds, and timed builds per case after one untimed one
+BUILD_CASES, BUILD_REPEATS = ((100, 3), (200, 3), (30, 4), (10, 5)), 5
 #: timed samples per case, each of CALLS contractions, after one untimed call
 REPEATS, CALLS = 21, 50
 CASES = ((100, 3), (30, 4))
@@ -41,6 +46,32 @@ PASSES = 3
 INVENTORY_N, INVENTORY_LAMBDA, INVENTORY_COUNTS, BATCH, START_CAP = 5, 1.5, (30, 18), 100, 2000
 #: dimensions of the single-call case, and timed repeats of every inventory case
 CALL_NS, INVENTORY_REPEATS = (4, 6, 8), 5
+
+
+def build() -> list:
+    import tracemalloc
+
+    import numpy as np
+    from tensorlandscape import simulate
+
+    rows = []
+    for n, k in BUILD_CASES:
+        u = np.full(n, 1.0 / math.sqrt(n))
+        call = functools.partial(simulate.make_spiked_tensor, n, k, math.sqrt(n), u, seed=0)
+        simulate.objective(call(), u)  # warms up (and fills any index cache)
+        q1, median, q3 = harness.quartiles(call, BUILD_REPEATS)
+        tracemalloc.start()
+        try:
+            tensor = call()
+            peak = tracemalloc.get_traced_memory()[1]
+            simulate.objective(tensor, u)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows.append({"n": n, "k": k, "median_ms": 1e3 * median, "q1_ms": 1e3 * q1,
+                     "q3_ms": 1e3 * q3, "repeats": BUILD_REPEATS,
+                     "peak_mib": peak / 2 ** 20, "held_mib": held / 2 ** 20})
+    return rows
 
 
 def contraction() -> dict:
@@ -148,7 +179,8 @@ def inventory() -> dict:
 
 
 def measure(src) -> dict:
-    return {**contraction(), "power_iteration": power(), "inventory": inventory()}
+    return {"build": build(), **contraction(), "power_iteration": power(),
+            "inventory": inventory()}
 
 
 if __name__ == "__main__":
