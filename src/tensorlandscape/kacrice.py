@@ -22,21 +22,20 @@ Design notes:
 * one draw serves every grid cell (common random numbers): the bottom-up
   LDL^T pivots p_d, ..., p_2 of T - t I are swept once per sample over all
   shifts t_n(x), and theta_n(m) enters only the last pivot p_1, so a cell
-  costs O(1).  log|det H| is the sum of log|p_i|, and by Sylvester's inertia
-  H has as many eigenvalues above 0 as positive pivots: the local-maximum
-  restriction 1{H <= 0} keeps a cell when no pivot is positive, so it is at
-  most the unrestricted estimate sample by sample.  The sweep runs on
-  (x_steps, samples) arrays, samples contiguous, in reused buffers.
+  costs O(1).  log|det H| is log prod |p_i|, one log per block of pivots; by
+  Sylvester's inertia H has as many eigenvalues above 0 as positive pivots:
+  the local-maximum restriction 1{H <= 0} keeps a cell when no pivot is
+  positive, so it is at most the unrestricted estimate sample by sample.
 * for local maxima, shifts below every draw's Rayleigh lower bound on the top
   eigenvalue of T[1:, 1:] have a positive pivot in every draw and are not
   swept (two thirds of the default x window at lambda = 0), bit for bit.
 * the (m, x) sum factors per x column: exp(weight) is the column's total
   exp(L_x) times convex shares over m, so a sample's total is
-  sum_x exp(log_tail + L_x) * sum_m share |p_1|.  The inner sum is built one
-  m row at a time with no transcendental per cell, and one log-sum-exp
-  over x reduces all samples in a reused buffer: memory is O(samples x
-  (n + x_steps)), and no (samples, m, x) array is built.  The column totals
-  L_x come from the same log-sum-exp, ``_log_sum_exp``, over m.
+  sum_x exp(log_tail + L_x) * sum_m share |p_1|.  The inner sum is read
+  from prefix tables over sorted theta, and one log-sum-exp over x reduces
+  all samples in a reused buffer: memory is O(samples x (n + x_steps)), and
+  no (samples, m, x) array is built.  The column totals L_x come from the
+  same log-sum-exp, ``_log_sum_exp``, over m.
 * theta_n and t_n are ``theta_of_m`` and ``t_of_x`` scaled by sqrt(n/(n-1)),
   and the exponential weight is n times the terms of ``s_star`` other than
   ``phi_star``: every formula comes from :mod:`tensorlandscape.complexity`.
@@ -90,39 +89,47 @@ class McEstimate:
 
 def _tridiagonal(seed, n_samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` rows of GOE(dim)'s tridiagonal model: diagonal a_i ~ N(0, 2/dim),
-    squared off-diagonal b_i^2 ~ chi^2_(dim-i) / dim = Gamma((dim-i)/2, scale 2/dim),
-    drawn row by row and stored sample-contiguous (F order)."""
+    squared off-diagonal b_i^2 ~ chi^2_(dim-i) / dim = standard Gamma((dim-i)/2) * 2/dim
+    (numpy's ``gamma``, bit for bit), drawn row by row, stored sample-contiguous."""
     rng = np.random.default_rng(seed)
     a = np.asfortranarray(rng.normal(scale=math.sqrt(2.0 / dim), size=(n_samples, dim)))
-    b2 = rng.gamma(np.arange(dim - 1.0, 0.0, -1.0) / 2.0, 2.0 / dim, size=(n_samples, dim - 1))
-    return a, np.asfortranarray(b2)
+    b2 = np.asfortranarray(rng.standard_gamma(np.arange(dim - 1, 0, -1) / 2, (n_samples, dim - 1)))
+    return a, np.multiply(b2, 2.0 / dim, out=b2)
 
 
 def _pivots(a: np.ndarray, b2: np.ndarray, t: np.ndarray, count_positive: bool = True):
     """Bottom-up LDL^T pivots p_d, ..., p_2 of T - t I per row of (a, b2) and shift t.
 
-    Returns (samples, len(t)) arrays: the sum of log|p_i|, the number of
-    positive p_i over i >= 2 (if ``count_positive``, else None), and ``last``,
-    with p_1 = theta + last for the deformation theta e1 e1^T.  A pivot below
-    pivmin = tiny * max(1, max b^2) in magnitude becomes -pivmin, LAPACK
-    ``dstebz``'s rule: b^2 / p stays finite.  They are transposed views of
-    (len(t), samples) arrays: a step is whole-array ufuncs on contiguous rows
-    (a_i, b_i^2, the materialised shift) into one scratch buffer, the floor
-    runs elementwise only when one min says it can fire, and every value is
-    bit for bit that of a (samples, len(t)) sweep.
+    Returns (samples, len(t)) arrays: log prod |p_i|, the number of positive
+    p_i over i >= 2 (if ``count_positive``, else None), and ``last``, with
+    p_1 = theta + last for the deformation theta e1 e1^T.  A |p_i| below
+    pivmin = tiny * max(1, max b^2) becomes -pivmin (LAPACK ``dstebz``).  A
+    cell multiplies its |p_i| in [2^-63, 2^63] over fixed blocks of 16, one
+    log each (2^(+-1008) is normal), and logs the others alone; both run only
+    when min |p| or max|a| + max|t| + max b^2 / (last min |p|) >= max |p|
+    says they can.  Swept on (len(t), samples) arrays in reused buffers,
+    every value is bit for bit that of a (samples, len(t)) sweep.
     """
     pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(b2, axis=1, initial=0.0))
-    a, b2, floor = a.T, b2.T, np.max(pivmin)
+    (low_safe, high_safe), block = (2.0**-63, 2.0**63), 16
+    a, b2, floor = a.T, b2.T, max(np.max(pivmin), low_safe)
+    bound_a, b2_max = np.max(np.abs(a)) + np.max(np.abs(t)), np.max(b2, initial=0.0)
     shift = np.repeat(t[:, None], a.shape[1], axis=1)
-    last = a[-1] - shift
-    log_tail, scratch = np.zeros_like(last), np.empty_like(last)
+    last, high = a[-1] - shift, bound_a
+    log_tail, product, scratch = np.zeros_like(last), np.ones_like(last), np.empty_like(last)
     n_positive = np.zeros_like(last) if count_positive else None
-    for i in range(a.shape[0] - 2, -1, -1):
-        np.abs(last, out=scratch)
-        if np.min(scratch) < floor:
+    for step, i in enumerate(range(a.shape[0] - 2, -1, -1)):
+        low = np.min(np.abs(last, out=scratch))
+        if not (low >= floor and 2.0 * high <= high_safe):  # 2 covers the bound's rounding
             np.copyto(last, -pivmin, where=scratch < pivmin)
-            np.abs(last, out=scratch)
-        log_tail += np.log(scratch, out=scratch)
+            alone = (np.abs(last, out=scratch) < low_safe) | (scratch > high_safe)
+            log_tail[alone] += np.log(scratch[alone])
+            scratch[alone] = 1.0
+        product *= scratch
+        if step % block == block - 1 or i == 0:
+            log_tail += np.log(product, out=product)
+            product.fill(1.0)
+        high = bound_a + b2_max / low if low >= floor else np.inf
         if count_positive:
             n_positive += np.greater(last, 0.0, out=scratch)
         np.divide(b2[i], last, out=scratch)
@@ -145,16 +152,37 @@ def _edge_bound(a: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return bound
 
 
+def _theta_sums(theta, share, last: np.ndarray, restrict_negative: bool, scratch: np.ndarray):
+    """Overwrite ``last`` (len(t), samples) with sum_theta share max(-theta - last, 0)
+    if ``restrict_negative``, else sum_theta share |theta + last|.  With theta
+    sorted, c = #{theta_j <= -last} and a = theta_(max(c-1, 0)), the first is
+    A_c + (-last - a) S_c per column; its prefix sums S_c = sum_(j<c) share_j
+    and A_c = sum_(0<i<c) S_i (theta_i - theta_(i-1)) add terms >= 0.  The
+    second adds suffix sums alike less (-last - a) U_c (U_c: the share from c
+    on), which rounds to at most their first term U_c (theta_c - a) >= 0."""
+    order = np.argsort(theta, kind="stable")
+    theta, share = theta[order], share[order].T
+    zero, step, below = np.zeros((len(share), 1)), np.diff(theta), np.cumsum(share, axis=1)
+    slope = np.hstack([zero, below])
+    intercept = np.hstack([zero, zero, np.cumsum(below[:, :-1] * step, axis=1)])
+    if not restrict_negative:
+        above = np.hstack([np.cumsum(share[:, ::-1], axis=1)[:, ::-1], zero])
+        rest = np.cumsum(np.hstack([above[:, 1:-1] * step, zero])[:, ::-1], axis=1)[:, ::-1]
+        intercept, slope = intercept + np.hstack([rest[:, :1], rest]), slope - above
+    index = np.searchsorted(theta, np.negative(last, out=scratch), side="right")
+    last += np.take(np.concatenate([theta[:1], theta]), index, out=scratch, mode="clip")
+    index += np.arange(0, slope.size, theta.size + 1)[:, None]
+    last *= np.take(-slope, index, out=scratch, mode="clip")  # (last + a)(-S): bit for bit
+    last += np.take(intercept, index, out=scratch, mode="clip")
+
+
 def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool) -> np.ndarray:
     """Per draw (a, b2), log sum over the (theta, t) cells of |det(theta e1 e1^T
     + T - t I)| exp(log_weight); ``log_weight`` has shape (len(theta), len(t)).
     ``restrict_negative`` keeps only cells with no pivot above 0 (H <= 0).
-
     Per t column, exp(log_weight) = exp(L) * share with L the column's
-    log-sum-exp and share convex weights over theta, so a draw's total is
-    sum_t exp(log_tail + L) * sum_theta share |p_1|.  The inner sum is
-    accumulated one theta row at a time over ``_pivots``' (len(t), samples)
-    arrays; it is at most max |p_1|, so it cannot overflow.
+    log-sum-exp, so a draw's total is sum_t exp(log_tail + L) * sum_theta
+    share |p_1|: ``_theta_sums``' inner sum, at most max |p_1|.
 
     With ``restrict_negative``, a shift below every draw's ``_edge_bound`` less
     1e-9, far above the bound's rounding and the sweep's backward error (about
@@ -167,28 +195,20 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
         keep = t >= np.min(_edge_bound(*draws)) - 1e-9
         if not keep.any():
             return np.full(n_samples, -np.inf)
-    log_tail, n_positive, last = _pivots(*draws, t[keep], restrict_negative)
+    log_tail, n_positive, inner = _pivots(*draws, t[keep], restrict_negative)
     log_column = _log_sum_exp(log_weight.copy(), axis=0)[keep]
     # an all -inf column has L = -inf: share 0 there, not nan
     share = np.exp(log_weight[:, keep] - np.where(np.isfinite(log_column), log_column, 0.0))
-    # F order: ``cell`` is the buffer's first len(t[keep]) columns
+    # F order: its first len(t[keep]) columns are ``_theta_sums``' scratch
     buffer = np.empty((n_samples, t.size), order="F")
-    inner, cell = np.zeros_like(last), buffer[:, : last.shape[1]]
-    for theta_i, share_i in zip(theta, share):
-        np.add(last, theta_i, out=cell)
-        if restrict_negative:  # |p_1| 1{p_1 <= 0}
-            np.maximum(np.negative(cell, out=cell), 0.0, out=cell)
-        else:
-            np.abs(cell, out=cell)
-        cell *= share_i
-        inner += cell
+    _theta_sums(theta, share, inner.T, restrict_negative, buffer[:, : inner.shape[1]].T)
     if restrict_negative:
         inner[n_positive != 0.0] = 0.0
     with np.errstate(divide="ignore"):
         np.log(inner, out=inner)
     log_tail += log_column
     log_tail += inner
-    # all len(t) columns in C order, in ``cell``'s buffer: the same pairwise sum
+    # all len(t) columns in C order, in the same buffer: the same pairwise sum
     totals = buffer.T.reshape(buffer.shape)
     if restrict_negative:
         totals[:, ~keep] = -np.inf

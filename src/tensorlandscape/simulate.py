@@ -349,7 +349,7 @@ def _gradient_rows(tensor: SpikedTensor, x: np.ndarray) -> tuple[np.ndarray, ...
 
 def objective(tensor: SpikedTensor, sigma: np.ndarray) -> float:
     """f(sigma) = <Y, sigma^(x)k> for unit sigma."""
-    return float(_gradient_rows(tensor, _check_unit(sigma, "sigma")[None])[1][0])
+    return float(_gradient_rows(tensor, _check_unit(sigma, "sigma", size=tensor.n)[None])[1][0])
 
 
 def tangent_basis(sigma: np.ndarray) -> np.ndarray:
@@ -388,7 +388,7 @@ def _sphere_hess(k: int, flat: np.ndarray, f_val, basis: np.ndarray) -> np.ndarr
 
 def riemannian_grad(tensor: SpikedTensor, sigma: np.ndarray) -> np.ndarray:
     """Sphere gradient of f at unit sigma: k P_orth Y[sigma^(k-1)], an n-vector."""
-    return _gradient_rows(tensor, _check_unit(sigma, "sigma")[None])[2][0]
+    return _gradient_rows(tensor, _check_unit(sigma, "sigma", size=tensor.n)[None])[2][0]
 
 
 def riemannian_hess(
@@ -401,7 +401,7 @@ def riemannian_hess(
     defaults to ``tangent_basis(sigma)``; pass an explicit one to study
     specific tangent directions (e.g. the spike direction).
     """
-    sigma = _check_unit(sigma, "sigma")
+    sigma = _check_unit(sigma, "sigma", size=tensor.n)
     flat, _, f_val, _ = _contract_rows(tensor, sigma[None])
     if basis is None:
         basis = tangent_basis(sigma)
@@ -434,7 +434,7 @@ def _shifted_power(tensor: SpikedTensor, sigma0: np.ndarray, max_iters: int, tol
     checked before each step, or after ``max_iters`` steps.
     """
     max_iters, tol = _count(max_iters, "max_iters", 1), _real(tol, "tol", 0.0, strict=True)
-    sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8)
+    sigma = _check_unit(np.asarray(sigma0, dtype=float), "sigma0", tol=1e-8, size=tensor.n)
     sigma = sigma / np.linalg.norm(sigma)
     k = tensor.k
     w, f_val, grad = _at_point(tensor, sigma)

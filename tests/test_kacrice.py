@@ -15,7 +15,11 @@ each sample's (m, x) grid that ``_log_totals`` factors per x column.
 and reduction on (samples, len(t)) arrays, which the sample-contiguous
 kernel reproduces bit for bit, including where it skips the shifts that no
 draw can make a local maximum; the skip is checked against LAPACK's top
-eigenvalue and the full sweep's inertia.
+eigenvalue and the full sweep's inertia.  They take one log per block of
+pivots and the theta sum from prefix tables, as the kernel does; the
+per-pivot logs (``pivots_log_per_pivot``) and the per-row theta loop
+(``theta_sums_loop``) that those replaced are second references, met within
+error bounds derived where they are used.
 """
 
 import math
@@ -119,17 +123,89 @@ def log_totals_per_sample(draws, theta, t, log_weight, restrict_negative):
     return log_totals
 
 
+#: the kernel's block length and the |p| range a block's product takes
+BLOCK, SAFE = 16, (2.0**-63, 2.0**63)
+
+#: the unit roundoff
+UNIT = 2.0**-53
+
+
 def pivots_reference(a, b2, t):
-    """``_pivots`` on (samples, len(t)) arrays, one new array per step."""
+    """``_pivots`` on (samples, len(t)) arrays, one new array per step: each
+    cell multiplies its |p_i| in SAFE over blocks of BLOCK steps and adds the
+    block's log at its end (and after the last step); a |p_i| outside SAFE
+    adds its own log at its step instead."""
     pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(b2, axis=1, initial=0.0))[:, None]
     log_tail, n_positive = np.zeros((2, a.shape[0], t.size))
+    product = np.ones((a.shape[0], t.size))
+    last = a[:, -1:] - t
+    for step, i in enumerate(range(a.shape[1] - 2, -1, -1)):
+        p = np.where(np.abs(last) < pivmin, -pivmin, last)
+        size = np.abs(p)
+        alone = (size < SAFE[0]) | (size > SAFE[1])
+        log_tail = np.where(alone, log_tail + np.log(size), log_tail)
+        product = product * np.where(alone, 1.0, size)
+        if step % BLOCK == BLOCK - 1 or i == 0:
+            log_tail = log_tail + np.log(product)
+            product = np.ones_like(product)
+        n_positive += p > 0.0
+        last = a[:, i : i + 1] - t - b2[:, i : i + 1] / p
+    return log_tail, n_positive, last
+
+
+def pivots_log_per_pivot(a, b2, t):
+    """The sweep with one log per pivot, on (samples, len(t)) arrays; also
+    returns sum_i |log|p_i||, the scale of its rounding."""
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(b2, axis=1, initial=0.0))[:, None]
+    log_tail, n_positive, scale = np.zeros((3, a.shape[0], t.size))
     last = a[:, -1:] - t
     for i in range(a.shape[1] - 2, -1, -1):
         p = np.where(np.abs(last) < pivmin, -pivmin, last)
         log_tail += np.log(np.abs(p))
+        scale += np.abs(np.log(np.abs(p)))
         n_positive += p > 0.0
         last = a[:, i : i + 1] - t - b2[:, i : i + 1] / p
-    return log_tail, n_positive, last
+    return log_tail, n_positive, last, scale
+
+
+def theta_sums_reference(theta, share, last, restrict_negative):
+    """``_theta_sums`` on (samples, len(t)) arrays ``last``, one new array per
+    step: per column, over sorted theta, the prefix share S_c, the prefix
+    A_c = sum_(0<i<c) S_i (theta_i - theta_(i-1)) and, for the full sum, the
+    suffix share U_c and suffix B_c = sum_(i>=max(c,1)) U_i (theta_i -
+    theta_(i-1)); then A_c + B_c - (last + a)(S_c - U_c) at c = #{theta_j <=
+    -last}, a = theta_(max(c-1, 0))."""
+    order = np.argsort(theta, kind="stable")
+    theta, share = theta[order], share[order]
+    size = theta.size
+    below, above = [np.zeros(share.shape[1])], [np.zeros(share.shape[1])]
+    for j in range(size):
+        below.append(below[-1] + share[j])
+        above.insert(0, above[0] + share[size - 1 - j])
+    prefix = [np.zeros(share.shape[1])] * 2
+    for c in range(2, size + 1):
+        prefix.append(prefix[-1] + below[c - 1] * (theta[c - 1] - theta[c - 2]))
+    slope, intercept = np.array(below), np.array(prefix)
+    if not restrict_negative:
+        suffix = [np.zeros(share.shape[1])]
+        for c in range(size - 1, 0, -1):
+            suffix.insert(0, suffix[0] + above[c] * (theta[c] - theta[c - 1]))
+        intercept = intercept + np.array(suffix[:1] + suffix)
+        slope = slope - np.array(above)
+    c = np.searchsorted(theta, -last, side="right")
+    column = np.arange(last.shape[1])
+    anchor = theta[np.maximum(c - 1, 0)]
+    return (last + anchor) * -slope[c, column] + intercept[c, column]
+
+
+def theta_sums_loop(theta, share, last, restrict_negative):
+    """The inner sum one theta row at a time, on (samples, len(t)) arrays."""
+    inner = np.zeros_like(last)
+    for theta_i, share_i in zip(theta, share):
+        cell = last + theta_i
+        cell = np.maximum(-cell, 0.0) if restrict_negative else np.abs(cell)
+        inner += cell * share_i
+    return inner
 
 
 def log_totals_reference(draws, theta, t, log_weight, restrict_negative):
@@ -137,11 +213,7 @@ def log_totals_reference(draws, theta, t, log_weight, restrict_negative):
     log_tail, n_positive, last = pivots_reference(*draws, t)
     log_column = _log_sum_exp(log_weight.copy(), axis=0)
     share = np.exp(log_weight - np.where(np.isfinite(log_column), log_column, 0.0))
-    inner = np.zeros_like(last)
-    for theta_i, share_i in zip(theta, share):
-        cell = last + theta_i
-        cell = np.maximum(-cell, 0.0) if restrict_negative else np.abs(cell)
-        inner += cell * share_i
+    inner = theta_sums_reference(theta, share, last, restrict_negative)
     if restrict_negative:
         inner[n_positive != 0.0] = 0.0
     with np.errstate(divide="ignore"):
@@ -265,6 +337,65 @@ class TestPivotKernel:
         np.testing.assert_allclose(log_tail[:, 0], np.log(np.abs(p3)) + np.log(np.abs(p2)),
                                    rtol=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2, 17, 39, 159, 639])
+    def test_block_logs_match_per_pivot_logs(self, d):
+        # The pivots are the same floats on both sides (n_positive and last
+        # keep their bits), so only the logs differ.  With u = UNIT,
+        # gamma_k = k u / (1 - k u), S = sum_i |log|p_i|| and np.log taken
+        # to be within 4 ulp (8u |log x|):
+        # - a block's product of at most 16 |p| in SAFE rounds by at most
+        #   gamma_15 relatively, which moves its log by at most 16u;
+        # - summing at most 2d terms errs by at most gamma_2d times their
+        #   magnitudes, at most S plus rounding, per side gamma_d for d - 1
+        #   logs per pivot;
+        # so |blocked - per pivot| <= 16u (d / 16 + 1)
+        #   + 1.01 (16u + gamma_2d + gamma_d) S.
+        a, b2 = _tridiagonal(d, 50, d)
+        t = np.linspace(-3.0, 3.0, 61)
+        log_tail, n_positive, last = _pivots(a, b2, t)
+        want, want_positive, want_last, scale = pivots_log_per_pivot(a, b2, t)
+        np.testing.assert_array_equal(n_positive, want_positive)
+        np.testing.assert_array_equal(last, want_last)
+
+        def gamma(k):
+            return k * UNIT / (1.0 - k * UNIT)
+
+        bound = 16.0 * UNIT * (d / 16.0 + 1.0) + 1.01 * (16.0 * UNIT + gamma(2 * d)
+                                                         + gamma(d)) * scale
+        assert np.all(np.abs(log_tail - want) <= bound)
+        if d > BLOCK:  # the logs are taken per block, not per pivot
+            assert np.any(log_tail != want)
+
+    def test_one_cell_leaves_the_safe_range(self):
+        # Draw 2 at t = 0 gets p_34 = 0 exactly, at step 5 of the first
+        # block: the floor makes it -pivmin and the next pivot about
+        # b_33^2 / pivmin, both outside SAFE and logged alone.  Every other
+        # cell keeps the bits it has without that draw or that shift.
+        a, b2 = (np.array(v) for v in _tridiagonal(11, 6, 40))
+        t = np.array([-0.5, 0.0, 0.7])
+        p = a[2, 39] - 0.0
+        for i in range(38, 34, -1):
+            p = a[2, i] - 0.0 - b2[2, i] / p
+        a[2, 34] = b2[2, 34] / p
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _pivots(a, b2, t)
+        others = np.arange(6) != 2
+        for g, w in zip(got, _pivots(a[others], b2[others], t)):
+            np.testing.assert_array_equal(g[others], w)
+        for g, w in zip(got, _pivots(a[2:3], b2[2:3], t[[0, 2]])):
+            np.testing.assert_array_equal(g[2, [0, 2]], w[0])
+        for g, w in zip(got, pivots_reference(a, b2, t)):
+            np.testing.assert_array_equal(g, w)
+        # the floored cell is finite and still the log-determinant
+        log_tail, n_positive, last = got
+        h = tridiagonal_matrix(a[2], b2[2])
+        pivmin = np.finfo(float).tiny * max(1.0, float(np.max(b2[2])))
+        assert abs(a[2, 33] + b2[2, 33] / pivmin) > SAFE[1]
+        log_det = log_tail[2, 1] + math.log(abs(last[2, 1]))
+        assert math.isfinite(log_det)
+        assert log_det == pytest.approx(np.linalg.slogdet(h)[1], rel=0.0, abs=1e-10)
+        assert n_positive[2, 1] + (last[2, 1] > 0.0) == np.sum(np.linalg.eigvalsh(h) > 0.0)
+
     @pytest.mark.parametrize("restrict", [False, True])
     def test_abs_det_law_matches_dense_goe(self, restrict):
         # d = 5: the tridiagonal estimator against dense GOE(5) draws
@@ -279,6 +410,87 @@ class TestPivotKernel:
         est = expected_abs_det(6, MatrixCoords(theta=theta, t=t), n_samples=samples,
                                seed=17, restrict_negative=restrict)
         assert abs(est.mean - values.mean()) < 4.0 * math.hypot(est.std_error, dense_se)
+
+
+class TestTridiagonal:
+    """The draws are numpy's ``gamma`` and ``normal`` in their order."""
+
+    @pytest.mark.parametrize("seed, samples, dim", [
+        (0, 400, 159), (3, 7, 1), (5, 9, 2), (8, 3, 3), ([3, 40], 50, 39), (11, 2, 640),
+    ])
+    def test_is_the_gamma_draw_bit_for_bit(self, seed, samples, dim):
+        a, b2 = _tridiagonal(seed, samples, dim)
+        rng = np.random.default_rng(seed)
+        want_a = rng.normal(scale=math.sqrt(2.0 / dim), size=(samples, dim))
+        want_b2 = rng.gamma(np.arange(dim - 1.0, 0.0, -1.0) / 2.0, 2.0 / dim,
+                            size=(samples, dim - 1))
+        np.testing.assert_array_equal(a, want_a)
+        np.testing.assert_array_equal(b2, want_b2)
+        assert a.shape == (samples, dim) and b2.shape == (samples, dim - 1)
+        assert a.T.flags.c_contiguous and b2.T.flags.c_contiguous
+
+
+class TestThetaSums:
+    """The prefix-table theta sum against the row-major tables and the per-row loop."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        theta=st.lists(st.one_of(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]),
+                                 st.floats(-6.0, 6.0, allow_subnormal=False)),
+                       min_size=1, max_size=9),
+        columns=st.integers(1, 4),
+        samples=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        empty_column=st.booleans(),
+        restrict=st.booleans(),
+    )
+    def test_matches_the_row_loop(self, theta, columns, samples, seed, empty_column, restrict):
+        # Bounds, with u = UNIT and M = len(theta); gamma_k = k u / (1 - k u).
+        # The loop sums M terms >= 0 and is within gamma_(M+1) of the exact
+        # sum, relatively.  "zero": S_c (prefix of <= M shares), A_c (prefix
+        # of S_i times one rounded difference) and (-last - a) S_c are all
+        # >= 0, so A_c + (-last - a) S_c is within gamma_(2M+1) relatively;
+        # together |prefix - loop| <= 4 (M + 1) u * loop.  "star": the tables
+        # are within gamma_(2M+1) of sum_m share_m |theta_m - a| and gamma_M
+        # of the signed share S_c - U_c, so the sum is within
+        # gamma_(2M+3) sum_m share_m (|theta_m - a| + |last + a|)
+        # <= gamma_(2M+3) sum_m share_m (3 max|theta| + |last|), and the loop
+        # within gamma_(M+1) of that too: 4 (M + 1) u times it bounds both.
+        # (The model of rounding assumes no underflow: theta is not subnormal.)
+        theta = np.array(theta)
+        rng = np.random.default_rng(seed)
+        share = np.exp(rng.normal(scale=3.0, size=(theta.size, columns)))
+        share *= rng.random(share.shape) < 0.8  # some shares exactly 0
+        share /= np.maximum(share.sum(axis=0), np.finfo(float).tiny)
+        if empty_column:
+            share[:, rng.integers(columns)] = 0.0
+        last = rng.uniform(-8.0, 8.0, size=(samples, columns))
+        source = rng.integers(4, size=last.shape)
+        last[source == 0] = -theta[rng.integers(theta.size, size=last.shape)][source == 0]
+        last[source == 1] = rng.choice([-1e6, 1e6], size=last.shape)[source == 1]
+        got = last.T.copy()  # (len(t), samples), C order
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            kacrice._theta_sums(theta, share, got, restrict, np.empty_like(got))
+        got = got.T
+        np.testing.assert_array_equal(got, theta_sums_reference(theta, share, last, restrict))
+        want = theta_sums_loop(theta, share, last, restrict)
+        if restrict:
+            scale = want
+        else:
+            scale = share.sum(axis=0) * (3.0 * np.max(np.abs(theta)) + np.abs(last))
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= 4.0 * (theta.size + 1) * UNIT * scale)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_equal_thetas_have_one_breakpoint(self, restrict):
+        # lambda = 0: every theta is 0, so the sum is |last| or max(-last, 0)
+        # times the column's share
+        share = np.array([[0.25, 0.0], [0.5, 0.0], [0.25, 0.0]])
+        last = np.array([[-2.0, -1.0, 0.0, 1.5], [3.0, -3.0, 0.0, 0.5]])
+        got = last.copy()
+        kacrice._theta_sums(np.zeros(3), share, got, restrict, np.empty_like(got))
+        part = np.maximum(-last[0], 0.0) if restrict else np.abs(last[0])
+        np.testing.assert_array_equal(got, [part, np.zeros(4)])
 
 
 class TestLogTotals:

@@ -685,6 +685,19 @@ def test_calculus_rejects_a_point_off_the_sphere(calculus):
     calculus(tensor, np.array([0.6, 0.8, 0.0]))
 
 
+@pytest.mark.parametrize("entry, name", [
+    (objective, "sigma"), (riemannian_grad, "sigma"), (riemannian_hess, "sigma"),
+    (power_iteration, "sigma0"), (gradient_ascent, "sigma0"),
+], ids=["objective", "riemannian_grad", "riemannian_hess", "power_iteration",
+        "gradient_ascent"])
+@pytest.mark.parametrize("length", [3, 5])
+def test_rejects_a_unit_point_of_the_wrong_length(entry, name, length):
+    # a unit vector of another dimension is not a point of this tensor's sphere
+    tensor = make_spiked_tensor(4, 3, 1.0, np.array([1.0, 0.0, 0.0, 0.0]), seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must have length n = 4"):
+        entry(tensor, np.eye(length)[0])
+
+
 @pytest.mark.parametrize("method", [power_iteration, gradient_ascent])
 def test_contracts_each_point_once(method, monkeypatch):
     contracted = []
