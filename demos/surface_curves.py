@@ -37,7 +37,7 @@ def main():
         print(f"  m_crossover     = {fmt(report.m_crossover)}")
         print(f"  good zero       = {fmt(report.good_zero)}")
         print(f"  zero band       = ({fmt(zero_band.m1)}, {fmt(zero_band.m2)})"
-              f" touch {fmt(zero_band.m_star)}")
+              f" touch {fmt(report.good_zero)}")
         print(f"  star band       = ({fmt(star_band.m1)}, {fmt(star_band.m2)})")
         ms = np.linspace(-0.99, 0.99, args.points)
         star = project_max_over_x(params, ms, which="star").value

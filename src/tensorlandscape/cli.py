@@ -227,12 +227,13 @@ def cmd_thresholds(args) -> None:
     rows = [("lambda_critical", lambda_critical(args.k))]
     rows.append(("m_critical",
                  m_critical(params) if args.lam > 0 else None))
-    rows.append(("good_location_zero", good_location_zero(params)))
+    touch = good_location_zero(params)  # one root for the three touch-point rows
+    rows.append(("good_location_zero", touch))
     for which in ("zero", "star"):
         band = band_endpoints(params, which=which)
         rows.append((f"{which}_band_m1", band.m1))
         rows.append((f"{which}_band_m2", band.m2))
-        rows.append((f"{which}_band_m_star", band.m_star))
+        rows.append((f"{which}_band_m_star", touch))
     lines = ["quantity,value"]
     for name, value in rows:
         lines.append(f"{name},{'absent' if value is None else _fmt(value)}")

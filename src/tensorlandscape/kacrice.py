@@ -199,19 +199,14 @@ def _log_totals(draws, theta, t, log_weight: np.ndarray, restrict_negative: bool
     log_column = _log_sum_exp(log_weight.copy(), axis=0)[keep]
     # an all -inf column has L = -inf: share 0 there, not nan
     share = np.exp(log_weight[:, keep] - np.where(np.isfinite(log_column), log_column, 0.0))
-    # F order: its first len(t[keep]) columns are ``_theta_sums``' scratch
-    buffer = np.empty((n_samples, t.size), order="F")
-    _theta_sums(theta, share, inner.T, restrict_negative, buffer[:, : inner.shape[1]].T)
+    _theta_sums(theta, share, inner.T, restrict_negative, np.empty(inner.shape[::-1]))
     if restrict_negative:
         inner[n_positive != 0.0] = 0.0
     with np.errstate(divide="ignore"):
         np.log(inner, out=inner)
     log_tail += log_column
     log_tail += inner
-    # all len(t) columns in C order, in the same buffer: the same pairwise sum
-    totals = buffer.T.reshape(buffer.shape)
-    if restrict_negative:
-        totals[:, ~keep] = -np.inf
+    totals = np.full((n_samples, t.size), -np.inf)
     totals[:, keep] = log_tail
     return _log_sum_exp(totals, axis=1)
 

@@ -6,9 +6,8 @@ coordinate at a fixed value of the other (coarse scan plus golden-section
 polish), locate the overlap band where local maxima are exponentially
 numerous (sign-change multisection on the projection), and rasterize the
 nonnegativity region of either complexity over a rectangular grid.  The
-band report takes its critical-point band and touch point from the closed
-forms :func:`tensorlandscape.thresholds.s_star_projection` and
-:func:`tensorlandscape.thresholds.good_location_zero`.
+band report holds the band edges only; its critical-point band comes from
+the closed form :func:`tensorlandscape.thresholds.s_star_projection`.
 
 Projections take a scalar or a 1-D array of fixed coordinates and handle
 all of them in one batched pass: the coarse scan is one broadcast over
@@ -18,10 +17,10 @@ polish advances every bracket of a block together as arrays.  The result
 at each coordinate is bitwise the scalar call's.  ``band_endpoints``
 narrows both local-maximum band edges together inside the critical-point
 band by multisection (``_bisect_crossings``, which lives in
-:mod:`tensorlandscape.thresholds` and also locates the touch point): each
-round is one batched projection over 16 interior points of each edge's
-bracket and narrows it 17-fold, so the default ``xtol`` of 1e-10 takes 8
-or 9 rounds (brackets up to 0.71 wide).
+:mod:`tensorlandscape.thresholds`): each round is one batched projection
+over 16 interior points of each edge's bracket and narrows it 17-fold, so
+the default ``xtol`` of 1e-10 takes 8 or 9 rounds (brackets up to 0.71
+wide).
 
 Evaluation is vectorized numpy and therefore deterministic; no randomness
 enters this module.
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import ModelParams, _count, _real, s_star, s_zero
-from .thresholds import _bisect_crossings, good_location_zero, s_star_projection
+from .thresholds import _bisect_crossings, s_star_projection
 
 __all__ = [
     "GridSpec",
@@ -56,6 +55,10 @@ _BLOCK_CELLS = 1 << 16
 
 #: Bracket width at which a projection's golden-section polish stops.
 _PROJECTION_XTOL = 1e-9
+
+#: Round cap of the polish, 1/phi**289 < 2**-200: it ends a bracket whose
+#: doubles are spaced wider than ``_PROJECTION_XTOL`` (|x| >= 2**23).
+_GOLDEN_ROUNDS = 289
 
 #: Overlap interval of ``project_max_over_m``.
 _M_SEARCH = (-1.0 + 1e-9, 1.0 - 1e-9)
@@ -107,14 +110,12 @@ class BandReport:
 
     ``m1 < 0 < m2`` are the crossing overlaps around the uninformative
     cluster at m = 0 (always present: both projections are positive at 0).
-    ``m_star`` is the isolated high-overlap location where the projection
-    climbs back to zero; present iff lam >= lambda_critical(k), and taken
-    from ``good_location_zero`` (the same point for both surfaces).
+    The high-overlap touch point, the same for both surfaces, is not a field:
+    it is a closed form of :mod:`tensorlandscape.thresholds`.
     """
 
     m1: float
     m2: float
-    m_star: float | None
 
 
 def grid_centers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +140,12 @@ def _golden_max(fn, a, b, xtol: float) -> tuple[np.ndarray, np.ndarray]:
 
     ``fn(j, u)`` evaluates the function of bracket ``j`` at ``u`` (equal-shape
     arrays).  A bracket narrower than ``xtol`` stops being evaluated while
-    the others continue.  -inf values are tolerated (plain comparisons push
-    the bracket toward the finite side).  Returns the best point actually
-    evaluated per bracket and its value: the maximizer may sit on a jump
-    (e.g. the spectral cutoff below which the local-max complexity is -inf)
-    and the bracket midpoint could land on its wrong side.
+    the others continue, for at most ``_GOLDEN_ROUNDS`` rounds.  -inf values
+    are tolerated (plain comparisons push the bracket toward the finite
+    side).  Returns the best point actually evaluated per bracket and its
+    value: the maximizer may sit on a jump (e.g. the spectral cutoff below
+    which the local-max complexity is -inf) and the bracket midpoint could
+    land on its wrong side.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -154,7 +156,9 @@ def _golden_max(fn, a, b, xtol: float) -> tuple[np.ndarray, np.ndarray]:
     left = fc >= fd
     best_x, best_f = np.where(left, c, d), np.where(left, fc, fd)
     live = np.flatnonzero(b - a > xtol)
-    while live.size:
+    for _ in range(_GOLDEN_ROUNDS):
+        if not live.size:
+            break
         left = fc[live] >= fd[live]
         lw, rw = live[left], live[~left]
         # left-moving brackets keep [a, d] and probe a new c; the others keep
@@ -300,10 +304,9 @@ def band_endpoints(
     [0, m1] and [0, m2]: each round is one batched numeric projection over
     16 points of each bracket, and shrinks both brackets 17-fold, so the
     default takes 8 or 9 rounds.  A round cap ends the search for a ``xtol``
-    below what doubles resolve.
-    The touch point ``m_star``, where the projection climbs back to zero at
-    high overlap, is the closed-form root ``good_location_zero(params)`` for
-    either surface: present iff lam >= lambda_critical(k).
+    below what doubles resolve.  ``xtol`` is absolute: where the star edge
+    (about 0.583 lam^(-1/2) at k = 3) is below it, so are the edges returned,
+    with no digits of the true ones.
 
     Conditioning: within about 1e-9 (relative) of lambda_critical(k) the
     projections touch zero tangentially, and are flat to +-1e-15 over about
@@ -320,7 +323,7 @@ def band_endpoints(
     i = np.flatnonzero(vals <= 0.0)[0]  # vals[0] = log(k - 1) / 2 > 0
     edge = float(_bisect_crossings(star, ms[i - 1 : i], ms[i : i + 1], vals[i : i + 1], xtol)[0])
     if which == "star":
-        return BandReport(m1=-edge, m2=edge, m_star=good_location_zero(params))
+        return BandReport(m1=-edge, m2=edge)
 
     def proj(ms: np.ndarray) -> np.ndarray:
         return project_max_over_x(params, ms, which=which).value
@@ -329,4 +332,4 @@ def band_endpoints(
     # leave it a few ulp above 0 there (k = 4 at lambda_critical)
     edges = np.array([-edge, edge])
     m1, m2 = _bisect_crossings(proj, np.zeros(2), edges, np.minimum(proj(edges), 0.0), xtol)
-    return BandReport(m1=float(m1), m2=float(m2), m_star=good_location_zero(params))
+    return BandReport(m1=float(m1), m2=float(m2))

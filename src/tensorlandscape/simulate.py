@@ -91,7 +91,9 @@ class SpikedTensor:
     (n^(k-2), n(n+1)/2): packed[a, p] = Y[a, j_p, l_p] in ``_triangle``
     order, a the leading k-2 indices flattened; the entry for (j, l) stands
     for (l, j) too.  ``make_spiked_tensor`` and ``noiseless_tensor`` build
-    it without a dense array; ``from_dense`` packs one.
+    it without a dense array; ``from_dense`` packs one.  ``n``, ``k`` and ``u``
+    are checked as there, and ``packed`` must be finite; ``u`` is copied, and so
+    is a store that is writeable or a view.
     """
 
     n: int
@@ -100,9 +102,19 @@ class SpikedTensor:
     packed: np.ndarray
 
     def __post_init__(self):
-        if np.shape(self.packed) != (self.n ** (self.k - 2), self.n * (self.n + 1) // 2):
+        n, k = _count(self.n, "n", 2), _count(self.k, "k", 3)
+        packed = np.asarray(self.packed, dtype=float)
+        if packed.shape != (n ** (k - 2), n * (n + 1) // 2):
             raise ValueError("packed must have shape (n^(k-2), n(n+1)/2); "
                              "SpikedTensor.from_dense packs a dense array")
+        if not np.isfinite([packed.min(), packed.max()]).all():  # no store-sized temporary
+            raise ValueError("packed must be finite")
+        if packed.flags.writeable or packed.base is not None:
+            packed = packed.copy()
+            packed.flags.writeable = False
+        u = _check_unit(self.u, "u", size=n).copy()
+        for name, value in dict(n=n, k=k, u=u, packed=packed).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dense(cls, n: int, k: int, u: np.ndarray, data: np.ndarray) -> SpikedTensor:
@@ -116,7 +128,6 @@ class SpikedTensor:
         kept.
         """
         n, k = _count(n, "n", 2), _count(k, "k", 3)
-        u = _check_unit(u, "u", size=n)
         data = np.asarray(data, dtype=float)
         if data.shape != (n,) * k:
             raise ValueError(f"data must have shape (n,)^k = {(n,) * k}, got {data.shape}")
@@ -128,8 +139,8 @@ class SpikedTensor:
                 raise ValueError(f"data must be symmetric (within {_SYMMETRY_TOL} max|data|)")
         rows, cols, _ = _triangle(n)
         packed = np.take(data.reshape(-1, n * n), rows * n + cols, axis=1)
-        packed.flags.writeable = False
-        return cls(n, k, u.copy(), packed)
+        packed.flags.writeable = False  # spares the constructor's copy
+        return cls(n, k, u, packed)
 
     @functools.cached_property
     def data(self) -> np.ndarray:
@@ -206,8 +217,8 @@ def _build(n: int, params: ModelParams, u: np.ndarray, g: np.ndarray | None) -> 
             noise /= math.sqrt(2.0 * n)
             slab += noise
         packed[a * depth:(a + 1) * depth] = slab.reshape(depth, n * n)[:, keep]
-    packed.flags.writeable = False
-    return SpikedTensor(n=n, k=k, u=u.copy(), packed=packed)
+    packed.flags.writeable = False  # spares the constructor's copy
+    return SpikedTensor(n=n, k=k, u=u, packed=packed)
 
 
 def make_spiked_tensor(n: int, k: int, lam: float, u: np.ndarray,

@@ -160,6 +160,35 @@ class TestThresholds:
                  ("good_location_zero", "zero_band_m_star", "star_band_m_star")}
         assert len(touch) == 1 and touch != {"absent"}
 
+    def test_huge_snr_ends(self, capsys):
+        # the projections' polish meets |x| far above 2**23; the edges fall
+        # below the search's absolute xtol (1e-10), where they carry no digits
+        assert run(["thresholds", "--k", 3, "--lambda", 1e100]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = dict(line.split(",", 1) for line in lines[1:])
+        for which in ("zero", "star"):
+            m1, m2 = float(table[f"{which}_band_m1"]), float(table[f"{which}_band_m2"])
+            assert -1e-10 < m1 < 0.0 < m2 < 1e-10
+        assert float(table["good_location_zero"]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_touch_point_solved_once(self, monkeypatch, capsys):
+        # the three touch-point rows print one root, solved once per command
+        from tensorlandscape import scan, thresholds
+
+        calls = []
+        solve = thresholds.good_location_zero
+
+        def counted(params):
+            calls.append(params)
+            return solve(params)
+
+        for module in (cli, scan, thresholds):  # every module that binds the name
+            if getattr(module, "good_location_zero", None) is solve:
+                monkeypatch.setattr(module, "good_location_zero", counted)
+        assert main(["thresholds", "--k", "3", "--lambda", "3"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
 
 class TestOracle:
     ARGS = ["oracle", "--k", 3, "--lambda", 0, "--n-list", "3,4,5",

@@ -1,5 +1,6 @@
 """Unit tests for grid scans, projections, and band-endpoint extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -63,6 +64,16 @@ class TestProjectOverX:
             assert abs(res.value - s_star_projection(params, m)) < 1e-7
             # the maximizer actually attains the reported value
             assert abs(s_star(params, m, res.arg) - res.value) < 1e-12
+
+    @pytest.mark.parametrize("which", ["star", "zero"])
+    def test_polish_ends_where_doubles_are_coarse(self, which):
+        # at |x| >= 2**23 adjacent doubles lie further apart than the polish's
+        # 1e-9 stop width, so only the round cap ends the bracket
+        params = ModelParams(3, 2e7)
+        res = project_max_over_x(params, 0.9, which)
+        assert res.arg == pytest.approx(2e7 * 0.9**3, rel=1e-6)
+        fn = s_star if which == "star" else s_zero
+        assert res.value == fn(params, 0.9, res.arg)
 
     def test_center_values(self):
         params = ModelParams(3, 3.0)
@@ -206,13 +217,13 @@ class TestBandEndpoints:
 
     def test_touch_point_matches_good_zero(self):
         # the closed-form root is where both projected surfaces climb back
-        # to zero: a local maximum of height 0
+        # to zero, outside the band: a local maximum of height 0
         for k, lam in ((3, 3.0), (4, 1.7), (5, 40.0)):
             params = ModelParams(k, lam)
             m = good_location_zero(params)
             step = 1e-4 * (1.0 - m)
             for which in ("zero", "star"):
-                assert band_endpoints(params, which=which).m_star == m
+                assert band_endpoints(params, which=which).m2 < m
                 value = project_max_over_x(params, m, which).value
                 assert abs(value) < 1e-10
                 for near in (m - step, m + step):
@@ -225,7 +236,7 @@ class TestBandEndpoints:
             for which in ("zero", "star"):
                 band = band_endpoints(params, which=which)
                 assert band.m1 is not None and band.m2 is not None
-                assert band.m_star == good_location_zero(params)
+                assert band.m2 < good_location_zero(params) < 1.0
 
     @pytest.mark.parametrize("which", ["zero", "star"])
     @pytest.mark.parametrize("k", [3, 4])
@@ -233,16 +244,22 @@ class TestBandEndpoints:
         for rel in (0.0, 1e-9, 1e-6):
             params = ModelParams(k, lambda_critical(k) * (1.0 + rel))
             band = band_endpoints(params, which=which)
-            assert band.m_star is not None
-            assert band.m_star == good_location_zero(params)
-        below = band_endpoints(ModelParams(k, lambda_critical(k) * (1.0 - 1e-9)), which=which)
-        assert below.m_star is None
+            assert band.m1 < 0.0 < band.m2
+            assert good_location_zero(params) is not None
+        below = ModelParams(k, lambda_critical(k) * (1.0 - 1e-9))
+        band = band_endpoints(below, which=which)
+        assert band.m1 < 0.0 < band.m2
+        assert good_location_zero(below) is None
 
     def test_no_touch_point_below_critical_snr(self):
         params = ModelParams(3, 0.5)
         band = band_endpoints(params, which="zero")
         assert band.m1 < 0.0 < band.m2  # the center band survives
-        assert band.m_star is None
+        assert good_location_zero(params) is None
+
+    def test_report_holds_only_the_edges(self):
+        # the touch point has one owner, thresholds.good_location_zero
+        assert [f.name for f in dataclasses.fields(scan.BandReport)] == ["m1", "m2"]
 
     @pytest.mark.parametrize("xtol", [math.nan, 0.0, -1.0, math.inf])
     def test_rejects_bad_xtol(self, xtol):
@@ -364,10 +381,12 @@ SCALAR_SEARCH_BANDS = {
 @pytest.mark.parametrize("k, lam", sorted(SCALAR_SEARCH_BANDS))
 def test_band_endpoints_match_scalar_search(k, lam, which):
     m1, m2, m_star = SCALAR_SEARCH_BANDS[(k, lam)][which]
-    band = band_endpoints(ModelParams(k, lam), which=which)
+    params = ModelParams(k, lam)
+    band = band_endpoints(params, which=which)
     assert abs(band.m1 - m1) <= 2e-10
     assert abs(band.m2 - m2) <= 2e-10
+    touch = good_location_zero(params)
     if m_star is None:
-        assert band.m_star is None
+        assert touch is None
     else:
-        assert band.m_star is not None and abs(band.m_star - m_star) <= 1e-9
+        assert touch is not None and abs(touch - m_star) <= 1e-9

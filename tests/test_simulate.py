@@ -347,6 +347,49 @@ class TestPackedKernel:
         assert objective(tensor, e1) == before
 
 
+class TestConstructor:
+    """The plain constructor holds the invariants the kernels rely on."""
+
+    E1 = np.array([1.0, 0.0, 0.0])
+
+    def test_rejects_a_spike_that_is_not_unit(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            SpikedTensor(3, 3, 2.0 * self.E1, np.zeros((3, 6)))
+        with pytest.raises(ValueError, match="length n"):
+            SpikedTensor(3, 3, np.array([1.0, 0.0, 0.0, 0.0]), np.zeros((3, 6)))
+
+    def test_keeps_copies_it_alone_holds(self):
+        u, store = self.E1.copy(), np.zeros((3, 6))
+        tensor = SpikedTensor(3, 3, u, store)
+        u[0], store[0, 0] = 0.0, 5.0
+        assert tensor.u[0] == 1.0 and tensor.packed[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            tensor.packed[0, 0] = 5.0
+        assert tensor.data[0, 0, 0] == 0.0
+        # a read-only view of a writeable array is copied as well
+        view = store.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(SpikedTensor(3, 3, self.E1, view).packed, store)
+        # a read-only store that owns its memory is held as is
+        store.flags.writeable = False
+        assert SpikedTensor(3, 3, self.E1, store).packed is store
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_store_that_is_not_finite(self, bad):
+        store = np.zeros((3, 6))
+        store[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpikedTensor(3, 3, self.E1, store)
+
+    def test_rejects_counts_that_are_not_counts(self):
+        for n in not_counts(2):
+            with pytest.raises(ValueError, match="^n must be >= 2 and an integer"):
+                SpikedTensor(n, 3, np.array([1.0]), np.zeros((1, 1)))
+        for k in not_counts(3):
+            with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
+                SpikedTensor(3, k, self.E1, np.zeros((3, 6)))
+
+
 class TestFromDense:
     """``SpikedTensor.from_dense`` packs a dense array, and rejects one that
     the kernels would misread."""

@@ -3,9 +3,10 @@
 Times ``band_endpoints`` for both surfaces at (k, lambda) = (3, 3) and
 (4, 1.7) with every BLAS/OpenMP thread variable set to 1, counts its
 ``project_max_over_x`` and ``s_star_projection`` calls, times the touch
-point ``good_location_zero`` that every band search also returns at the same
-(k, lambda), and times ``s_star`` and ``s_zero`` per call and per cell on the
-two shapes the zero band search passes them.  See ``tools/harness.py`` for
+point ``good_location_zero`` at the same (k, lambda), which ``tensorland
+thresholds`` solves once for its three touch-point rows, and times
+``s_star`` and ``s_zero`` per call and per cell on the two shapes the zero
+band search passes them.  See ``tools/harness.py`` for
 how to run it; the result goes into ``BENCH_scan.json``.
 """
 
