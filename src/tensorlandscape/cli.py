@@ -14,7 +14,8 @@ configuration including --seed; CSV with '.' decimal point, ',' separator,
 '-inf' for minus infinity.  A key=value config file (--config) supplies
 defaults; explicit flags override it.  No environment variables are read.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical failure
+or out of memory (an array too large to allocate).
 """
 
 from __future__ import annotations
@@ -386,6 +387,9 @@ def main(argv=None) -> int:
         return 3
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     return 0
 

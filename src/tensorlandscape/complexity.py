@@ -52,7 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Tensor order ``k`` (integer, >= 3) and signal-to-noise ratio ``lam`` (>= 0)."""
+    """Tensor order ``k`` (integer, >= 3) and signal-to-noise ratio ``lam`` (>= 0).
+
+    ``k * lam**2`` must be finite (lam below about 7.7e153 at k = 3): the
+    surfaces multiply it by m^(2k-2), and an infinite product would turn
+    m = 0 into nan."""
 
     k: int
     lam: float
@@ -60,6 +64,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _count(self.k, "k", 3))
         object.__setattr__(self, "lam", _real(self.lam, "lam", 0.0))
+        if not math.isfinite(self.k * self.lam * self.lam):
+            raise ValueError(f"lam must keep k * lam**2 finite, got {self.lam!r} at k = {self.k}")
 
 
 def _count(value, name: str, low: int) -> int:
@@ -104,7 +110,7 @@ def _seed(seed) -> np.random.SeedSequence:
 
 def _as_finite_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -121,16 +127,21 @@ def phi_star(x):
     continuous at the edges.  Even in x.
 
     Outside, x^2/4 - (|x|/4) sqrt(x^2-4) is evaluated as
-    |x| / (|x| + sqrt(x^2-4)), which does not cancel at large |x|.
+    |x| / (|x| + sqrt(x^2-4)), which does not cancel at large |x|.  Both
+    terms are built from h = |x|/2 + sqrt(x^2-4)/2, which does not overflow;
+    where x^2 does, sqrt(x^2-4) is taken as |x|, to which it rounds there.
     """
     ax = np.abs(_as_finite_array(x, "x"))
-    s = np.sqrt(np.maximum(ax * ax - 4.0, 0.0))
-    inside = 0.25 * ax * ax - 0.5
-    # the outside branch is also evaluated inside the support; the floor of
-    # its denominator (never binding outside, where ax + s > 2) avoids 0/0
-    # at x = 0
+    with np.errstate(over="ignore"):
+        square = ax * ax
+    s = np.where(square < np.inf, np.sqrt(np.maximum(square - 4.0, 0.0)), ax)
+    inside = 0.25 * square - 0.5
+    # halving is exact, so h is (|x| + s)/2 rounded once.  The outside branch
+    # is also evaluated inside the support; the floor of its denominator
+    # (never binding outside, where h > 1) avoids 0/0 at x = 0
+    half = 0.5 * ax + 0.5 * s
     with np.errstate(divide="ignore"):
-        outside = ax / np.maximum(ax + s, 2.0) - 0.5 + np.log(0.5 * (ax + s))
+        outside = 0.5 * ax / np.maximum(half, 1.0) - 0.5 + np.log(half)
     return _maybe_scalar(np.where(ax <= 2.0, inside, outside))
 
 

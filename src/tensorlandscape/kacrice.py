@@ -133,7 +133,8 @@ def _pivots(a: np.ndarray, b2: np.ndarray, t: np.ndarray, count_positive: bool =
         if count_positive:
             n_positive += np.greater(last, 0.0, out=scratch)
         np.divide(b2[i], last, out=scratch)
-        np.subtract(a[i], shift, out=last)
+        np.copyto(last, a[i])  # broadcast by a copy: faster than inside the subtract
+        last -= shift
         last -= scratch
     return log_tail.T, None if n_positive is None else n_positive.T, last.T
 

@@ -1,5 +1,8 @@
 """Fixtures and helpers shared by every test module."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,3 +47,14 @@ def not_seeds():
     negative integer, floats, a string, an empty sequence and sequences
     holding any of these."""
     return [None, True, -1, 2.5, np.float64(3.0), "3", [], (), [1, -1], [1, 2.5], (True,)]
+
+
+def largest_lam(k):
+    """The largest double lam with k * lam * lam finite, the largest
+    signal-to-noise ratio ``ModelParams`` accepts at order k."""
+    lam = math.sqrt(sys.float_info.max / k)
+    while not math.isfinite(k * lam * lam):
+        lam = math.nextafter(lam, 0.0)
+    while math.isfinite(k * math.nextafter(lam, math.inf) * math.nextafter(lam, math.inf)):
+        lam = math.nextafter(lam, math.inf)
+    return lam

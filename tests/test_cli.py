@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import largest_lam
 import tensorlandscape
 from tensorlandscape import ModelParams, cli, project_max_over_x, s_star, s_zero, simulate
 from tensorlandscape.cli import main
@@ -83,6 +84,24 @@ class TestGrid:
     def test_rejects_zero_steps(self, tmp_path):
         code = run(["grid", "--m-steps", 0, "--out", tmp_path / "g.csv"])
         assert code == 2
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_no_nan_at_the_largest_lambda(self, tmp_path, k):
+        # the largest lambda accepted gives no nan, on the default window and
+        # where x^2 overflows; the next one up is rejected (it printed nan)
+        lam = largest_lam(k)
+        out = tmp_path / "g.csv"
+        for x_max in (3.0, 1e155):
+            assert run(["grid", "--k", k, "--lambda", repr(lam), "--m-steps", 41,
+                        f"--x-min={-x_max!r}", "--x-max", x_max, "--x-steps", 41,
+                        "--out", out]) == 0
+            assert "nan" not in out.read_text(encoding="ascii")
+        out.unlink()
+        for bad in (math.nextafter(lam, math.inf), 1e200):
+            assert run(["grid", "--k", k, "--lambda", repr(bad), "--m-steps", 2,
+                        "--x-steps", 2, "--out", out]) == 2
+        assert not out.exists()
 
 
 class TestProjection:
@@ -493,6 +512,23 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert run(argv + ["--out", out]) == 2
         assert f"error: {flag} must be >= {low} and an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--n", 5], "make_spiked_tensor"),
+        (["oracle", "--n-list", "4,5,6", "--samples", 4], "crt_expected"),
+    ])
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch, argv, name):
+        # NumPy refuses an array too large for the machine up front with a
+        # MemoryError; a stand-in raises it here, so no test allocates one
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", out]) == 4
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 7.11 PiB for an array\n")
         assert not out.exists()
 
     def test_io_errors(self, tmp_path):

@@ -1,13 +1,14 @@
 """Unit tests for the closed-form complexity surfaces and their ingredients."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from conftest import not_counts, not_reals
+from conftest import largest_lam, not_counts, not_reals
 from tensorlandscape import (
     GridSpec,
     ModelParams,
@@ -54,6 +55,17 @@ class TestModelParams:
         for k in not_counts(3):
             with pytest.raises(ValueError, match="^k must be >= 3 and an integer"):
                 ModelParams(k, 1.0)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_rejects_a_lam_whose_k_lam_squared_overflows(self, k):
+        # the surfaces multiply k lam^2 by m^(2k-2): infinite, it made m = 0 nan
+        lam = largest_lam(k)
+        assert 5.9e153 < lam < 7.8e153
+        assert ModelParams(k, lam).lam == lam
+        ModelParams(k, 1e100)
+        for bad in (math.nextafter(lam, math.inf), 1e160, 1.7e308):
+            with pytest.raises(ValueError, match=r"^lam must keep k \* lam\*\*2 finite"):
+                ModelParams(k, bad)
 
     def test_landscape_point_domain(self):
         # the surfaces take any point with |m| <= 1 and finite x, and no other
@@ -161,6 +173,16 @@ class TestPhiStar:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             phi_star(float("nan"))
+
+    def test_finite_where_the_square_overflows(self):
+        # phi_star(x) = log|x| - 1/(2 x^2) + O(x^-4) at large |x|, so log|x|
+        # to the last bit from 1e150 on; x^2 overflows past sqrt(max) = 1.34e154
+        cut = math.sqrt(sys.float_info.max)
+        x = np.array([1e150, math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf),
+                      1e155, 1e300, sys.float_info.max])
+        for sign in (1.0, -1.0):
+            np.testing.assert_allclose(phi_star(sign * x), np.log(x), rtol=2e-16, atol=0)
+        assert phi_star(1e155) == pytest.approx(356.90068941407710, rel=1e-15)
 
 
 class TestLdpRate:
@@ -289,6 +311,27 @@ class TestSurfaces:
         m = rng.uniform(-1.0, 1.0, 500)
         x = rng.uniform(-4.0, 4.0, 500)
         assert np.all(s_zero(params, m, x) <= s_star(params, m, x) + 1e-15)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_no_nan_at_the_largest_inputs(self, k):
+        # x^2 may round to +inf and the surfaces to -inf, but nothing is nan
+        params = ModelParams(k, largest_lam(k))
+        m = np.linspace(-1.0, 1.0, 201)[:, None]
+        x = np.array([-1e300, -1e155, -1e5, -3.0, 0.0, 1.5, 3.0, 1e5, 1e154, 1e155, 1e300])
+        with np.errstate(over="ignore"):
+            star, zero = s_star(params, m, x), s_zero(params, m, x)
+        assert not np.isnan(star).any() and not np.isnan(zero).any()
+        assert np.all(star[:, np.abs(x) >= 1e155] == -np.inf)
+        # at m = 0 the rate does not depend on lam
+        assert s_star(params, 0.0, 0.0) == s_star(ModelParams(k, 0.0), 0.0, 0.0)
+
+    def test_large_finite_x(self):
+        # -x^2 + log|x| + ... is about -1e308 at x = 1e154, below -max at 1e155
+        params = ModelParams(3, 1.0)
+        assert s_star(params, 0.0, 1e154) == pytest.approx(-1e308, rel=1e-15)
+        with np.errstate(over="ignore"):
+            assert s_star(params, 0.0, 1e155) == -np.inf
+            assert s_zero(params, 0.0, 1e155) == -np.inf
 
     def test_broadcasting_and_scalars(self):
         params = ModelParams(3, 1.0)
